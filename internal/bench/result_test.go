@@ -16,40 +16,36 @@ func writeTemp(t *testing.T, name, content string) string {
 	return p
 }
 
-const legacyJSON = `{
-  "experiment": "writepath",
-  "quick": false,
-  "simulated": [
-    {"su_sectors": 4, "bs_sectors": 16, "jobs": 1,
-     "legacy_mib_s": 100, "coalesced_mib_s": 110, "gain_pct": 10,
-     "legacy_p50_us": 500, "coalesced_p50_us": 450,
-     "legacy_p99_us": 900, "coalesced_p99_us": 800}
-  ],
-  "host": [
-    {"name": "4K", "legacy_ns_op": 1000, "coalesced_ns_op": 400,
-     "legacy_allocs_op": 70, "coalesced_allocs_op": 27,
-     "speedup_pct": 60, "allocs_reduction_pct": 61}
-  ]
-}`
-
+// TestLoadReportLegacyAdapts pins the one-time adaptation of the legacy
+// (pre-schema) PR3 writepath report: the committed BENCH_pr3.json loads
+// as a v1 report with the adapted cells, and the pre-schema shape itself
+// is no longer accepted.
 func TestLoadReportLegacyAdapts(t *testing.T) {
-	r, err := LoadReport(writeTemp(t, "legacy.json", legacyJSON))
+	r, err := LoadReport(filepath.Join("..", "..", "BENCH_pr3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Schema != SchemaV1 || r.Experiment != "writepath" {
-		t.Fatalf("adapted header = %q/%q", r.Schema, r.Experiment)
+	if r.Schema != SchemaV1 || r.Experiment != "writepath" || r.Quick {
+		t.Fatalf("header = %q/%q quick=%v", r.Schema, r.Experiment, r.Quick)
 	}
 	sim := r.cell("sim/su=4/bs=16/jobs=1")
 	if sim == nil {
 		t.Fatalf("sim cell missing; cells = %+v", r.Cells)
 	}
-	if sim.Metrics["coalesced_mib_s"] != 110 || sim.Metrics["legacy_p99_us"] != 900 {
+	if sim.Metrics["coalesced_mib_s"] != sim.Metrics["legacy_mib_s"] {
 		t.Fatalf("sim metrics = %+v", sim.Metrics)
+	}
+	if _, ok := sim.Metrics["gain_pct"]; ok {
+		t.Errorf("degenerate cell carries gain_pct: %+v", sim.Metrics)
 	}
 	host := r.cell("host/4K")
 	if host == nil || host.Metrics["coalesced_allocs_op"] != 27 {
 		t.Fatalf("host cell = %+v", host)
+	}
+
+	preSchema := `{"experiment": "writepath", "simulated": [], "host": []}`
+	if _, err := LoadReport(writeTemp(t, "legacy.json", preSchema)); err == nil {
+		t.Fatal("pre-schema report accepted")
 	}
 }
 

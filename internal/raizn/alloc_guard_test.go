@@ -59,8 +59,8 @@ func TestSubmitReadZCAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
-	small := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, ringConfig(), 16) })
-	large := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, ringConfig(), 64) })
+	small := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, DefaultConfig(), 16) })
+	large := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, DefaultConfig(), 64) })
 	const maxAllocs, maxBytes = 24, 2048
 	if got := large.AllocsPerOp(); got > maxAllocs {
 		t.Errorf("SubmitReadZC 4-stripe: %d allocs/op, baseline %d — ZC read plumbing regressed", got, maxAllocs)

@@ -64,9 +64,8 @@ func benchSeqWrite(b *testing.B, vcfg Config, nSectors int64) {
 	})
 }
 
-// SubmitWrite host-cost benchmarks, coalesced (default) vs the
-// pre-overhaul legacy path. The interesting columns are ns/op and
-// allocs/op: the coalesced path pools its write state and parity images.
+// SubmitWrite host-cost benchmarks. The interesting columns are ns/op
+// and allocs/op: the write path pools its write state and parity images.
 
 func BenchmarkSubmitWrite4K(b *testing.B)  { benchSeqWrite(b, DefaultConfig(), 1) }
 func BenchmarkSubmitWrite16K(b *testing.B) { benchSeqWrite(b, DefaultConfig(), 4) }
@@ -79,15 +78,6 @@ func BenchmarkSubmitWriteStripe(b *testing.B) {
 // command instead of 4 separate ones.
 func BenchmarkSubmitWrite4Stripe(b *testing.B) {
 	benchSeqWrite(b, DefaultConfig(), DefaultConfig().StripeUnitSectors*16)
-}
-
-func BenchmarkSubmitWrite4KLegacy(b *testing.B)  { benchSeqWrite(b, legacyConfig(), 1) }
-func BenchmarkSubmitWrite16KLegacy(b *testing.B) { benchSeqWrite(b, legacyConfig(), 4) }
-func BenchmarkSubmitWriteStripeLegacy(b *testing.B) {
-	benchSeqWrite(b, legacyConfig(), DefaultConfig().StripeUnitSectors*4)
-}
-func BenchmarkSubmitWrite4StripeLegacy(b *testing.B) {
-	benchSeqWrite(b, legacyConfig(), DefaultConfig().StripeUnitSectors*16)
 }
 
 func BenchmarkVolumeWrite4K(b *testing.B) {
@@ -247,8 +237,8 @@ func benchSeqReadCopy(b *testing.B, vcfg Config, nSectors int64) {
 }
 
 func BenchmarkSubmitReadCopy4Unit(b *testing.B) { benchSeqReadCopy(b, DefaultConfig(), 64) }
-func BenchmarkSubmitReadZC4Unit(b *testing.B)   { benchSeqReadZC(b, ringConfig(), 64) }
-func BenchmarkSubmitReadZC1Unit(b *testing.B)   { benchSeqReadZC(b, ringConfig(), 16) }
+func BenchmarkSubmitReadZC4Unit(b *testing.B)   { benchSeqReadZC(b, DefaultConfig(), 64) }
+func BenchmarkSubmitReadZC1Unit(b *testing.B)   { benchSeqReadZC(b, DefaultConfig(), 16) }
 
 // benchSeqWriteRecorder is benchSeqWrite with the full observation rig
 // attached — registry, (disabled) tracer, flight recorder as span

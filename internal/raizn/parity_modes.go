@@ -98,25 +98,6 @@ func (m *mdManager) appendMetaSpan(sp *obs.Span, r *record, flags zns.Flag) (*vc
 	return nil, -1, errMDFull
 }
 
-// issueZRWAParityLocked writes the stripe's current prefix parity in
-// place at the final parity location via the ZRWA, overwriting the
-// previous prefix. Caller holds lz.mu (device submission order).
-func (v *Volume) issueZRWAParityLocked(sp *obs.Span, lz *logicalZone, s int64, buf *stripeBuffer, flags zns.Flag, futs *[]subIO) {
-	dev := v.lt.parityDev(lz.idx, s)
-	d := v.devForZone(dev, lz.idx)
-	if d == nil {
-		return // degraded: data units carry the write
-	}
-	plen := min(buf.fill, v.lt.su)
-	img := v.parityImageLocked(buf, []intraInterval{{0, plen}})
-	v.stats.zrwaParityWrites.Add(1)
-	v.stats.waParityBytes.Add(int64(len(img)))
-	pba := v.lt.parityPBA(lz.idx, s)
-	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(img)))
-	fut := d.WriteZRWASpan(child, pba, img, flags)
-	*futs = append(*futs, subIO{dev: dev, fut: fut})
-}
-
 // parityOnMedia reports, for ZRWA mode, how many parity prefix sectors of
 // stripe s are on the parity device (its physical fill past the stripe's
 // parity offset).

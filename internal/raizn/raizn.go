@@ -94,21 +94,6 @@ type Config struct {
 	// compacted at mount, rewriting the affected physical zones so all
 	// data returns to its arithmetic location. Zero picks the default.
 	RelocationThreshold int
-	// LegacyWritePath disables per-device sub-IO coalescing and the
-	// three-phase (plan/compute/submit) write pipeline, issuing every
-	// stripe-unit sub-IO as its own device command with parity computed
-	// under the zone lock. Kept for differential testing and as the
-	// benchmark baseline; see write_legacy.go.
-	LegacyWritePath bool
-	// UseRing routes device sub-IOs through the submission/completion
-	// ring (internal/ring): the submit phase stages per-device command
-	// groups that each device drains under one lock acquisition, with
-	// completions reaped by one walker goroutine per batch, and the
-	// compute phase fuses parity XOR and CRC into a single pass. Reads
-	// are batched the same way. Simulated timing is identical to the
-	// direct path (which remains the default, kept alive for
-	// differential tests); only host-side fixed costs change.
-	UseRing bool
 	// Metrics is the registry the volume's counters are backed by. Nil
 	// creates a private registry (counters still work; they are just not
 	// shared with other components).
@@ -326,8 +311,9 @@ type Volume struct {
 	jrn    *obs.Journal
 	stats  statsCounters
 
-	// rings is the per-array submission/completion ring set, non-nil iff
-	// cfg.UseRing. zcEpoch[z] pins zero-copy reads of logical zone z: it
+	// rings is the per-array submission/completion ring set through which
+	// every data-path device sub-IO (write runs, reads, zero-copy reads)
+	// is staged and drained. zcEpoch[z] pins zero-copy reads of logical zone z: it
 	// is bumped by anything that invalidates device payload views or the
 	// relocation overlays a zero-copy read may alias (relocation-map
 	// changes, zone reset, device-table changes); see read_zc.go.
@@ -602,9 +588,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 			v.md[i] = newMDManager(v, i)
 		}
 	}
-	if cfg.UseRing {
-		v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)
-	}
+	v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)
 	v.zcEpoch = make([]atomic.Uint64, numZones)
 	v.stats = newStatsCounters(reg, cfg.MetricsLabel)
 	registerWAHelp(reg)

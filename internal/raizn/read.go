@@ -27,13 +27,9 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpRead, lba, int64(len(buf)))
 	var futs []subIO
-	var stage *readStage
-	if v.rings != nil {
-		// Ring mode: device sub-reads are staged and drained per device
-		// as one SQ group (see drainReadStage) instead of being issued
-		// one command at a time.
-		stage = newReadStage()
-	}
+	// Device sub-reads are staged and drained per device as one SQ group
+	// (see drainReadStage).
+	stage := newReadStage()
 	ss := int64(v.sectorSize)
 	pos := lba
 	out := buf
@@ -46,17 +42,13 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 		}
 		if err := v.readZonePortion(sp, z, pos, out[:n*ss], &futs, stage); err != nil {
 			sp.End(err)
-			if stage != nil {
-				v.drainReadStage(stage, &futs) // deliver already-staged SQEs
-			}
+			v.drainReadStage(stage, &futs) // deliver already-staged SQEs
 			return v.clk.Completed(err)
 		}
 		pos += n
 		out = out[n*ss:]
 	}
-	if stage != nil {
-		v.drainReadStage(stage, &futs)
-	}
+	v.drainReadStage(stage, &futs)
 	sp.Mark(obs.PhaseSubmit)
 
 	result := v.clk.NewFuture()
@@ -162,35 +154,30 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 	}
 	// Tag the device sub-reads with reconstruction context so a latent
 	// sector error is transparently read-repaired in awaitReads.
-	pre := len(*futs)
-	var spre int
-	if stage != nil {
-		spre = len(stage.cmds)
-	}
-	if err := v.readUnitPieceSpan(sp, z, s, u, a, b, dst, futs, stage); err != nil {
+	pre := len(stage.cmds)
+	if err := v.readUnitPieceSpan(sp, z, s, u, a, b, dst, stage); err != nil {
 		return err
 	}
 	ctx := &repairCtx{z: z, s: s, u: u, a: a, b: b, dst: dst, wp: zoneWP}
-	for i := pre; i < len(*futs); i++ {
-		(*futs)[i].repair = ctx
-	}
-	if stage != nil {
-		for i := spre; i < len(stage.cmds); i++ {
-			stage.reps[i] = ctx
-		}
+	for i := pre; i < len(stage.cmds); i++ {
+		stage.reps[i] = ctx
 	}
 	return nil
 }
 
 // readUnitPiece reads from the unit's owning (live) device, overlaying
-// any relocated fragments that shadow parts of the range.
+// any relocated fragments that shadow parts of the range. Its device
+// sub-reads are drained at once; their futures join futs.
 func (v *Volume) readUnitPiece(z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO) error {
-	return v.readUnitPieceSpan(nil, z, s, u, a, b, dst, futs, nil)
+	stage := newReadStage()
+	err := v.readUnitPieceSpan(nil, z, s, u, a, b, dst, stage)
+	v.drainReadStage(stage, futs)
+	return err
 }
 
-// readUnitPieceSpan is readUnitPiece with a parent span: each device
-// sub-read becomes an OpDevRead child.
-func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO, stage *readStage) error {
+// readUnitPieceSpan stages readUnitPiece's device sub-reads on stage,
+// each as an OpDevRead child of sp.
+func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, stage *readStage) error {
 	ss := int64(v.sectorSize)
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
 	lbaB := lbaA + (b - a)
@@ -236,12 +223,7 @@ func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int
 		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su + intraLo
 		out := dst[(g.lo-lbaA)*ss : (g.hi-lbaA)*ss]
 		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		if stage != nil {
-			stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
-		} else {
-			fut := d.ReadSpan(child, pba, out)
-			*futs = append(*futs, subIO{dev: dev, fut: fut})
-		}
+		stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
 	}
 	return nil
 }
@@ -283,13 +265,12 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 	}
 
 	var futs []subIO
+	stage := newReadStage()
 	nBytes := (b - a) * ss
 	pbuf := make([]byte, nBytes)
-	if err := v.readParityPieceSpan(sp, z, s, a, b, pbuf, &futs, nil); err != nil {
-		return v.clk.Completed(err)
-	}
+	err := v.readParityPieceSpan(sp, z, s, a, b, pbuf, stage)
 	survivors := make([][]byte, 0, v.lt.d)
-	for u2 := 0; u2 < v.lt.d; u2++ {
+	for u2 := 0; u2 < v.lt.d && err == nil; u2++ {
 		if u2 == u || fills[u2] <= a {
 			continue
 		}
@@ -298,10 +279,12 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 			hi = b
 		}
 		sb := make([]byte, (hi-a)*ss)
-		if err := v.readUnitPieceSpan(sp, z, s, u2, a, hi, sb, &futs, nil); err != nil {
-			return v.clk.Completed(err)
-		}
+		err = v.readUnitPieceSpan(sp, z, s, u2, a, hi, sb, stage)
 		survivors = append(survivors, sb)
+	}
+	v.drainReadStage(stage, &futs)
+	if err != nil {
+		return v.clk.Completed(err)
 	}
 
 	result := v.clk.NewFuture()
@@ -320,16 +303,21 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 }
 
 // readParityPiece reads intra offsets [a, b) of the parity unit of stripe
-// s, honoring relocated parity.
+// s, honoring relocated parity. Its device sub-reads are drained at once;
+// their futures join futs.
 func (v *Volume) readParityPiece(z int, s int64, a, b int64, dst []byte, futs *[]subIO) error {
-	return v.readParityPieceSpan(nil, z, s, a, b, dst, futs, nil)
+	stage := newReadStage()
+	err := v.readParityPieceSpan(nil, z, s, a, b, dst, stage)
+	v.drainReadStage(stage, futs)
+	return err
 }
 
-// readParityPieceSpan is readParityPiece with a parent span. A relocated
-// parity fragment may cover only part of the unit (a burn-split relocates
-// just the burned prefix; the remainder was written in place), so the
-// uncovered intra ranges are still read from the parity device.
-func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, dst []byte, futs *[]subIO, stage *readStage) error {
+// readParityPieceSpan stages readParityPiece's device sub-reads on stage,
+// each as an OpDevRead child of sp. A relocated parity fragment may cover
+// only part of the unit (a burn-split relocates just the burned prefix;
+// the remainder was written in place), so the uncovered intra ranges are
+// still read from the parity device.
+func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, dst []byte, stage *readStage) error {
 	ss := int64(v.sectorSize)
 	type gap struct{ lo, hi int64 } // intra ranges not covered by reloc
 	gaps := []gap{{a, b}}
@@ -372,18 +360,14 @@ func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, d
 		pba := v.lt.parityPBA(z, s) + g.lo
 		out := dst[(g.lo-a)*ss : (g.hi-a)*ss]
 		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		if stage != nil {
-			stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
-		} else {
-			*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
-		}
+		stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
 	}
 	return nil
 }
 
-// readStage accumulates device sub-reads for ring-mode submission:
-// instead of one device command per gap, SubmitRead stages every SQE and
-// drainReadStage hands each device its whole group in one drain (one
+// readStage accumulates device sub-reads for submission through the
+// ring: instead of one device command per gap, a read stages every SQE
+// and drainReadStage hands each device its whole group in one drain (one
 // lock acquisition, one future slab), with all completions reaped by a
 // single walker. Stages are pooled; drainReadStage recycles them.
 type readStage struct {
@@ -419,6 +403,10 @@ func (s *readStage) push(dev int, d *zns.Device, cmd zns.Cmd) {
 // The stage is recycled; the batch recycles itself after the completion
 // walker delivers the last CQE.
 func (v *Volume) drainReadStage(stage *readStage, futs *[]subIO) {
+	if len(stage.cmds) == 0 {
+		recycleReadStage(stage)
+		return
+	}
 	b := v.rings.Batch()
 	for dev := 0; dev < v.lt.n; dev++ {
 		var d *zns.Device
@@ -439,10 +427,15 @@ func (v *Volume) drainReadStage(stage *readStage, futs *[]subIO) {
 		}
 	}
 	b.Submit()
-	for i := range stage.cmds {
-		stage.cmds[i] = zns.Cmd{}
-		stage.dh[i] = nil
-		stage.reps[i] = nil
+	recycleReadStage(stage)
+}
+
+// recycleReadStage clears and pools a stage without draining it.
+func recycleReadStage(s *readStage) {
+	for i := range s.cmds {
+		s.cmds[i] = zns.Cmd{}
+		s.dh[i] = nil
+		s.reps[i] = nil
 	}
-	readStagePool.Put(stage)
+	readStagePool.Put(s)
 }

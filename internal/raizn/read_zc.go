@@ -1,15 +1,13 @@
 package raizn
 
 import (
-	"errors"
-
 	"raizn/internal/obs"
 	"raizn/internal/zns"
 )
 
 // Zero-copy reads. SubmitReadZC serves a logical range without copying
 // payload into caller buffers: device-resident ranges become views of
-// device memory (zns.Device.ReadZCSpan / CmdReadZC), relocation-overlay
+// device memory (CmdReadZC SQEs drained through the ring), relocation-overlay
 // ranges become views of the fragment cache, and only the pieces that
 // cannot be aliased — degraded reconstruction, ranges the device cannot
 // serve zero-copy — are materialized in a pooled arena. The simulated
@@ -67,7 +65,7 @@ type ZCRead struct {
 	pins    []zcPin
 	zcZ     []int    // captured logical-zone epochs...
 	zcV     []uint64 // ...and their values at plan time
-	pending []int    // staged CmdReadZC index -> parts index (ring mode)
+	pending []int    // staged CmdReadZC index -> parts index
 
 	gapA, gapB []zcGap // overlay-splitting scratch
 
@@ -136,10 +134,7 @@ func (v *Volume) SubmitReadZC(lba, nSectors int64) *ZCRead {
 		r.zcV = append(r.zcV, v.zcEpoch[z].Load())
 	}
 
-	var stage *readStage
-	if v.rings != nil {
-		stage = newReadStage()
-	}
+	stage := newReadStage()
 	pos, rem := lba, nSectors
 	for rem > 0 {
 		z := v.lt.zoneOf(pos)
@@ -151,12 +146,10 @@ func (v *Volume) SubmitReadZC(lba, nSectors int64) *ZCRead {
 		pos += n
 		rem -= n
 	}
-	if stage != nil {
-		if r.err == nil {
-			r.drainZC(stage)
-		} else {
-			recycleReadStage(stage) // nothing flushed; drop the staged SQEs
-		}
+	if r.err == nil {
+		r.drainZC(stage)
+	} else {
+		recycleReadStage(stage) // nothing flushed; drop the staged SQEs
 	}
 	r.sp.Mark(obs.PhaseSubmit)
 	return r
@@ -264,39 +257,17 @@ func (v *Volume) planZCPiece(r *ZCRead, z int, s int64, u int, a, b, base, zoneW
 		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su + intraLo
 		nSec := g.hi - g.lo
 		child := r.sp.Child(obs.OpDevRead, dev, pba, nSec*ss)
-		if stage != nil {
-			r.parts = append(r.parts, zcPart{off: base + (g.lo - lbaA)})
-			r.pending = append(r.pending, len(r.parts)-1)
-			stage.push(dev, d, zns.Cmd{Op: zns.CmdReadZC, Sector: pba, NSectors: nSec, Span: child})
-			continue
-		}
-		data, zone, seq, fut, err := d.ReadZCSpan(child, pba, nSec)
-		if err != nil {
-			if errors.Is(err, zns.ErrZCUnavailable) {
-				r.parts = append(r.parts, zcPart{off: base + (g.lo - lbaA), data: r.copyGap(d, dev, pba, nSec)})
-				continue
-			}
-			return err
-		}
-		r.pins = append(r.pins, zcPin{d: d, zone: zone, seq: seq})
-		r.futs = append(r.futs, subIO{dev: dev, fut: fut})
-		r.parts = append(r.parts, zcPart{off: base + (g.lo - lbaA), data: data})
+		r.parts = append(r.parts, zcPart{off: base + (g.lo - lbaA)})
+		r.pending = append(r.pending, len(r.parts)-1)
+		stage.push(dev, d, zns.Cmd{Op: zns.CmdReadZC, Sector: pba, NSectors: nSec, Span: child})
 	}
 	return nil
 }
 
-// copyGap issues a plain copying device read into arena scratch for a
-// gap the device could not serve zero-copy, returning the scratch.
-func (r *ZCRead) copyGap(d *zns.Device, dev int, pba, nSec int64) []byte {
-	dst := r.arena(int(nSec) * r.v.sectorSize)
-	child := r.sp.Child(obs.OpDevRead, dev, pba, int64(len(dst)))
-	r.futs = append(r.futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, dst)})
-	return dst
-}
-
 // drainZC drains the staged CmdReadZC SQEs through the ring, one group
-// per device, wiring each returned view (or its copying fallback) into
-// the part reserved for it.
+// per device, wiring each returned view into the part reserved for it.
+// A range the device could not serve zero-copy gets a plain copying
+// read into arena scratch, drained as a second group to the same device.
 func (r *ZCRead) drainZC(stage *readStage) {
 	v := r.v
 	b := v.rings.Batch()
@@ -320,12 +291,20 @@ func (r *ZCRead) drainZC(stage *readStage) {
 			if c.Err != nil {
 				// ErrZCUnavailable or a late rejection: copying fallback
 				// (whose own error, if any, surfaces through the future).
-				r.parts[pi].data = r.copyGap(d, dev, c.Sector, c.NSectors)
+				dst := r.arena(int(c.NSectors) * v.sectorSize)
+				child := r.sp.Child(obs.OpDevRead, dev, c.Sector, int64(len(dst)))
+				b.Push(zns.Cmd{Op: zns.CmdRead, Sector: c.Sector, Data: dst, Span: child})
+				r.parts[pi].data = dst
 				continue
 			}
 			r.pins = append(r.pins, zcPin{d: d, zone: c.Zone, seq: c.Seq})
 			r.futs = append(r.futs, subIO{dev: dev, fut: c.Fut})
 			r.parts[pi].data = c.Data
+		}
+		if b.Pending() {
+			for _, c := range b.Flush(d, dev) {
+				r.futs = append(r.futs, subIO{dev: dev, fut: c.Fut})
+			}
 		}
 	}
 	b.Submit()
@@ -448,14 +427,4 @@ func (r *ZCRead) Release() {
 		r.pins[i] = zcPin{}
 	}
 	v.zcPool.Put(r)
-}
-
-// recycleReadStage clears and pools a stage without draining it.
-func recycleReadStage(s *readStage) {
-	for i := range s.cmds {
-		s.cmds[i] = zns.Cmd{}
-		s.dh[i] = nil
-		s.reps[i] = nil
-	}
-	readStagePool.Put(s)
 }

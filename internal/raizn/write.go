@@ -2,7 +2,6 @@ package raizn
 
 import (
 	"errors"
-	"hash/crc32"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -36,7 +35,8 @@ import (
 //     rows over the now-immutable snapshot;
 //  3. submit (under lz.mu, in ticket order): coalesce physically
 //     adjacent plan entries per device into single (vectored) write
-//     commands and issue them, then publish the submitted write pointer.
+//     commands, stage them on the submission ring and drain each
+//     device's group, then publish the submitted write pointer.
 //
 // Metadata appends (partial parity, relocations, checksums) are prepared
 // in the phases but issued after lz.mu is released, because metadata GC
@@ -96,10 +96,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	full := end == v.lt.zoneSectors()
 	v.stats.logicalWriteBytes.Add(int64(len(data)))
 
-	if v.cfg.LegacyWritePath {
-		return v.runWriteLegacy(sp, lz, off, end, full, data, flags)
-	}
-
 	ws := v.getWriteState()
 	ws.sp = sp
 	ws.z = lz.idx
@@ -127,17 +123,13 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	for lz.submitHead != ws.ticket-1 {
 		lz.cond.Wait()
 	}
-	v.submitWriteLocked(ws, lz, planErr == nil)
+	b := v.rings.Batch()
+	v.submitWriteLocked(ws, lz, b, planErr == nil)
 	lz.mu.Unlock()
-	if ws.batch != nil {
-		// Start the completion walker now that no zone lock is held. All
-		// device state was applied at drain time (under lz.mu, like the
-		// direct path applies at submit); the walker only delivers
-		// completions at their virtual times, so starting it here leaves
-		// simulated timing unchanged.
-		ws.batch.Submit()
-		ws.batch = nil
-	}
+	// Start the completion walker now that no zone lock is held. All
+	// device state was applied at drain time, under lz.mu; the walker
+	// only delivers completions at their virtual times.
+	b.Submit()
 	v.fireHook("raizn.write.submit", obs.SrcLogical, ws.z, end)
 
 	ws.futs = v.issuePendingMD(sp, ws.pending, ws.futs)
@@ -145,8 +137,8 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	v.fireHook("raizn.write.md", obs.SrcLogical, ws.z, end)
 
 	if planErr != nil {
-		// Mirror the legacy path: sub-IOs already issued are left to
-		// complete on their own; the caller sees the plan error.
+		// Sub-IOs already issued are left to complete on their own; the
+		// caller sees the plan error.
 		ws := ws
 		v.clk.Go(func() {
 			_ = v.awaitSubIOs(ws.futs)
@@ -235,14 +227,11 @@ type writeState struct {
 	crcs    []uint32 // completed-stripe CRC rows, stride csSlots()
 	crcS    []int64  // stripe index per CRC row
 	segs    [][]byte // submit-phase gather scratch
-	srcs    [][]byte // fused XOR+CRC source scratch (ring mode)
+	srcs    [][]byte // fused XOR+CRC source scratch
 
-	// Ring mode: staged SQEs keep their gather lists alive until the
-	// device drains them, so runs are parked in segStore (an arena reused
-	// across writes) instead of the recycled segs scratch, and the batch
-	// itself is carried here so runWrite can Submit it after lz.mu is
-	// released.
-	batch    *ring.Batch
+	// Staged SQEs keep their gather lists alive until the device drains
+	// them, so runs are parked in segStore (an arena reused across
+	// writes) instead of the recycled segs scratch.
 	segStore [][]byte
 }
 
@@ -290,7 +279,6 @@ func (v *Volume) putWriteState(ws *writeState) {
 		ws.segStore[i] = nil
 	}
 	ws.sp = nil
-	ws.batch = nil
 	v.wsPool.Put(ws)
 }
 
@@ -435,60 +423,35 @@ func (v *Volume) computeWrite(ws *writeState) {
 
 	for i := range ws.parity {
 		t := &ws.parity[i]
-		plen := su
-		if !t.complete && t.fill < su {
-			plen = t.fill
+		if !t.complete {
+			// Partial stripe (in-place ZRWA prefix): parity of the
+			// filled prefix only, no CRC row yet.
+			out := ws.image(i, int(min(t.fill, su)*ss))
+			v.parityInto(t.buf.data, t.fill, 0, min(t.fill, su), out)
+			ws.plan[t.planIdx].data = out
+			continue
 		}
-		out := ws.image(i, int(plen*ss))
+		// Complete stripe, fused single pass: XOR the D units into the
+		// parity image and accumulate all D+1 CRCs while each block is
+		// cache-hot (parity.XORCRCInto). Complete stripes always have the
+		// full stripe payload in one contiguous snapshot.
+		out := ws.image(i, int(suBytes))
+		stripe := t.src
+		if t.buf != nil {
+			stripe = t.buf.data
+		}
+		srcs := ws.srcs[:0]
+		for u := 0; u < v.lt.d; u++ {
+			srcs = append(srcs, stripe[int64(u)*suBytes:int64(u+1)*suBytes])
+		}
+		ws.srcs = srcs
 		base := len(ws.crcs)
-		if t.complete && v.cfg.UseRing {
-			// Fused single pass: XOR the D units into the parity image and
-			// accumulate all D+1 CRCs while each block is cache-hot
-			// (parity.XORCRCInto). Complete stripes always have the full
-			// stripe payload in one contiguous snapshot.
-			stripe := t.src
-			if t.buf != nil {
-				stripe = t.buf.data
-			}
-			srcs := ws.srcs[:0]
-			for u := 0; u < v.lt.d; u++ {
-				srcs = append(srcs, stripe[int64(u)*suBytes:int64(u+1)*suBytes])
-			}
-			ws.srcs = srcs
-			for u := 0; u <= v.lt.d; u++ {
-				ws.crcs = append(ws.crcs, 0)
-			}
-			parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
-			ws.plan[t.planIdx].data = out
-			ws.crcS = append(ws.crcS, t.s)
-		} else {
-			if t.buf != nil {
-				v.parityInto(t.buf.data, t.fill, 0, plen, out)
-			} else {
-				copy(out, t.src[:plen*ss])
-				for u := 1; u < v.lt.d; u++ {
-					parity.XORInto(out, t.src[int64(u)*suBytes:int64(u)*suBytes+plen*ss])
-				}
-			}
-			ws.plan[t.planIdx].data = out
-
-			if !t.complete {
-				continue
-			}
-			// CRC row of the completed stripe: D data units + the parity
-			// image just computed (shared — parity is XORed exactly once).
-			for u := 0; u < v.lt.d; u++ {
-				var unit []byte
-				if t.buf != nil {
-					unit = t.buf.data[int64(u)*suBytes : int64(u+1)*suBytes]
-				} else {
-					unit = t.src[int64(u)*suBytes : int64(u+1)*suBytes]
-				}
-				ws.crcs = append(ws.crcs, crc32.Checksum(unit, crcTable))
-			}
-			ws.crcs = append(ws.crcs, crc32.Checksum(out, crcTable))
-			ws.crcS = append(ws.crcS, t.s)
+		for u := 0; u <= v.lt.d; u++ {
+			ws.crcs = append(ws.crcs, 0)
 		}
+		parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
+		ws.plan[t.planIdx].data = out
+		ws.crcS = append(ws.crcS, t.s)
 		v.stats.checksumRecords.Add(1)
 		if v.mdm(csDev) != nil {
 			ws.pending = append(ws.pending, pendingMD{
@@ -569,20 +532,16 @@ func (v *Volume) parityInto(data []byte, fill, a, b int64, out []byte) {
 // entries to the same device at physically adjacent addresses merge into
 // one vectored write command, burned address ranges split off into
 // relocation records (§5.2), and the submitted write pointer advances.
+// Runs become SQEs staged on b per device; each device drains its whole
+// group under one lock acquisition when the group is flushed. The caller
+// submits b (starting the completion walker) once lz.mu is released.
 // Caller holds lz.mu and has waited for its ticket.
-func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
+func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, b *ring.Batch, ok bool) {
 	tbl := v.loadDevs()
 	z := lz.idx
 	ss := int64(v.sectorSize)
 	var dataB, parityB int64 // WA category bytes actually sent to devices
 
-	if v.rings != nil {
-		// Ring mode: runs become SQEs staged per device; each device
-		// drains its whole group under one lock acquisition when the
-		// group is flushed below. runWrite submits the batch (starting
-		// the completion walker) once lz.mu is released.
-		ws.batch = v.rings.Batch()
-	}
 	for dev := 0; dev < v.lt.n; dev++ {
 		d := tbl.zoneDev(dev, z)
 		if d == nil {
@@ -620,8 +579,8 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 				// In-place parity prefix updates are ordered but never
 				// merged; flush the pending run first so per-device
 				// submission order matches plan order.
-				segs = v.flushRun(ws, d, dev, runStart, segs)
-				harvestGroup(ws, d, dev)
+				segs = v.flushRun(ws, b, dev, runStart, segs)
+				harvestGroup(ws, b, d, dev)
 				v.stats.zrwaParityWrites.Add(1)
 				parityB += int64(len(data))
 				child := ws.sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
@@ -637,13 +596,13 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 				segs = append(segs, data)
 				runNext += int64(len(data)) / ss
 			} else {
-				segs = v.flushRun(ws, d, dev, runStart, segs)
+				segs = v.flushRun(ws, b, dev, runStart, segs)
 				runStart, runNext = pba, pba+int64(len(data))/ss
 				segs = append(segs, data)
 			}
 		}
-		ws.segs = v.flushRun(ws, d, dev, runStart, segs)
-		harvestGroup(ws, d, dev)
+		ws.segs = v.flushRun(ws, b, dev, runStart, segs)
+		harvestGroup(ws, b, d, dev)
 	}
 	if dataB > 0 {
 		v.stats.waDataBytes.Add(dataB)
@@ -691,21 +650,16 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 	lz.cond.Broadcast()
 }
 
-// flushRun issues the accumulated run as one device command (vectored
-// when it merged more than one sub-IO) and returns the reset scratch.
-// In ring mode the run is staged as an SQE on ws.batch instead of being
-// issued directly; harvestGroup later drains the device's staged group.
-func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, segs [][]byte) [][]byte {
+// flushRun stages the accumulated run on b as one device command
+// (vectored when it merged more than one sub-IO) and returns the reset
+// scratch; harvestGroup later drains the device's staged group.
+func (v *Volume) flushRun(ws *writeState, b *ring.Batch, dev int, start int64, segs [][]byte) [][]byte {
 	switch len(segs) {
 	case 0:
 		return segs
 	case 1:
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, int64(len(segs[0])))
-		if ws.batch != nil {
-			ws.batch.Push(zns.Cmd{Op: zns.CmdWrite, Sector: start, Data: segs[0], Flags: ws.flags, Span: child})
-		} else {
-			ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteSpan(child, start, segs[0], ws.flags)})
-		}
+		b.Push(zns.Cmd{Op: zns.CmdWrite, Sector: start, Data: segs[0], Flags: ws.flags, Span: child})
 	default:
 		v.stats.coalescedSubWrites.Add(int64(len(segs) - 1))
 		var bytes int64
@@ -713,30 +667,25 @@ func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, s
 			bytes += int64(len(s))
 		}
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, bytes)
-		if ws.batch != nil {
-			// The segs scratch is recycled for the next run, so park the
-			// gather list in the write state's arena: the SQE must stay
-			// valid until the device drains the group.
-			base := len(ws.segStore)
-			ws.segStore = append(ws.segStore, segs...)
-			ws.batch.Push(zns.Cmd{Op: zns.CmdWritev, Sector: start, Segs: ws.segStore[base:len(ws.segStore):len(ws.segStore)], Flags: ws.flags, Span: child})
-		} else {
-			ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, start, segs, ws.flags)})
-		}
+		// The segs scratch is recycled for the next run, so park the
+		// gather list in the write state's arena: the SQE must stay valid
+		// until the device drains the group.
+		base := len(ws.segStore)
+		ws.segStore = append(ws.segStore, segs...)
+		b.Push(zns.Cmd{Op: zns.CmdWritev, Sector: start, Segs: ws.segStore[base:len(ws.segStore):len(ws.segStore)], Flags: ws.flags, Span: child})
 	}
 	return segs[:0]
 }
 
-// harvestGroup drains the batch's staged SQE group into device d (ring
-// mode only): the device applies the whole group under one lock
-// acquisition, and the commands' completion futures — pre-completed for
-// rejected commands, exactly like the direct path's failSpan futures —
-// join ws.futs for the write's completion wait.
-func harvestGroup(ws *writeState, d *zns.Device, dev int) {
-	if ws.batch == nil || !ws.batch.Pending() {
+// harvestGroup drains b's staged SQE group into device d: the device
+// applies the whole group under one lock acquisition, and the commands'
+// completion futures (pre-completed for rejected commands) join ws.futs
+// for the write's completion wait.
+func harvestGroup(ws *writeState, b *ring.Batch, d *zns.Device, dev int) {
+	if !b.Pending() {
 		return
 	}
-	group := ws.batch.Flush(d, dev)
+	group := b.Flush(d, dev)
 	for i := range group {
 		ws.futs = append(ws.futs, subIO{dev: dev, fut: group[i].Fut})
 	}
@@ -934,7 +883,7 @@ func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) 
 // or part of) it to the device's metadata zone when the target PBA range
 // was burned by a crash (below the physical write pointer and thus
 // immutable, §5.2). Failed devices are skipped (degraded write). Used by
-// the legacy write path and the zone-seal path in FinishZone.
+// the zone-seal path in FinishZone.
 func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte, flags zns.Flag, lba int64, isParity bool, z int, s int64, futs *[]subIO, pending *[]pendingMD) {
 	d := v.devForZone(dev, z)
 	if d == nil {

@@ -401,7 +401,7 @@ func (e *engine) issue(batch []*request) {
 // issueRun submits one run (a single request, or coalesced contiguous
 // writes) and subscribes run completion onto the volume future — no
 // waiter goroutine per run; the completion callback rides whichever
-// goroutine resolves the future (the ring's CQ walker in ring mode).
+// goroutine resolves the future (the ring's CQ walker).
 func (e *engine) issueRun(run []*request) {
 	r0 := run[0]
 	ext, arrLBA, err := e.v.locate(r0.lba, r0.sectors) // revalidated at submit; cannot fail

@@ -228,11 +228,16 @@ func TestAdmissionControlSheds(t *testing.T) {
 		var futs []*vclock.Future
 		var shed int
 		var terr *ThrottledError
+		// Each submission targets the next LBA not yet accepted, so a
+		// shed LBA is retried: accepted writes never leave a hole ahead
+		// of the zone's write pointer.
+		var next int64
 		for i := 0; i < 32; i++ {
-			fut, err := v.SubmitWrite("t0", int64(i), pattern("t0", int64(i), 1, ss), 0)
+			fut, err := v.SubmitWrite("t0", next, pattern("t0", next, 1, ss), 0)
 			switch {
 			case err == nil:
 				futs = append(futs, fut)
+				next++
 			case errors.Is(err, ErrThrottled):
 				shed++
 				if !errors.As(err, &terr) {

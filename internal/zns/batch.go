@@ -14,8 +14,7 @@ import (
 // and all completions are delivered by ONE walker goroutine instead of
 // one timer goroutine per command — the per-command fixed costs the ring
 // amortizes. Per-command simulated timing (pipe occupancy, latencies) is
-// identical to the equivalent sequence of individual submissions, which
-// is what lets ring and direct paths be compared differentially.
+// identical to the equivalent sequence of individual submissions.
 
 // CmdOp is the submission-queue entry type.
 type CmdOp uint8
@@ -42,7 +41,7 @@ const (
 //     Done minus the submit instant).
 //   - Sector (CmdAppend): the device-assigned write position.
 //   - Data, Seq (CmdReadZC): the device-owned payload view and the zone
-//     zc-sequence that pins it (see ReadZCSpan).
+//     zc-sequence that pins it (see readZCApplyLocked).
 type Cmd struct {
 	Op       CmdOp
 	Sector   int64

@@ -73,8 +73,8 @@ func compareDevSnapshots(t *testing.T, batched, direct devSnapshot) {
 // TestBatchEquivalence submits one batch covering every command type and
 // checks the device ends in exactly the state an equivalent sequence of
 // individual submissions produces: same zone states, same payloads, same
-// counters, same virtual completion time. This is the contract that lets
-// the ring and direct paths be compared differentially at higher layers.
+// counters, same virtual completion time. Higher layers submit only
+// through batches and rely on this contract for their simulated timing.
 func TestBatchEquivalence(t *testing.T) {
 	cfg := testConfig()
 
@@ -191,7 +191,7 @@ func TestBatchRejection(t *testing.T) {
 
 // TestBatchReadZCPinning checks a batched zero-copy read returns a live
 // device-owned view pinned by the zone zc-sequence, and that the pin is
-// invalidated by a zone reset exactly as with ReadZCSpan.
+// invalidated by a zone reset.
 func TestBatchReadZCPinning(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
@@ -222,7 +222,7 @@ func TestBatchReadZCPinning(t *testing.T) {
 
 		// A full zone's unwritten tail reads as zeroes that have no
 		// backing bytes: the batch reports ErrZCUnavailable so the
-		// caller takes the copying path, exactly like ReadZCSpan.
+		// caller takes the copying path.
 		mustWrite(t, d, d.ZoneStart(1), pattern(cfg, 1, 0x5B), 0)
 		if err := d.FinishZone(1).Wait(); err != nil {
 			t.Fatal(err)

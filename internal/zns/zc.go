@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"raizn/internal/obs"
-	"raizn/internal/vclock"
 )
 
 // Zero-copy reads: instead of snapshotting the payload into a caller
@@ -30,28 +29,15 @@ import (
 // below the write pointer). Callers fall back to a copying read.
 var ErrZCUnavailable = errors.New("zns: range not zero-copy readable")
 
-// ReadZCSpan submits a zero-copy read of [sector, sector+nSectors):
-// simulated cost (read-pipe occupancy, latency) is identical to Read,
-// but the returned data aliases device memory instead of being copied.
-// The view is pinned by (zone, seq): it reflects zone content only while
-// ZCValid(zone, seq) holds. Latent media errors are delivered through
-// the future exactly as for Read. When the range cannot be served
-// zero-copy the error is ErrZCUnavailable and no pipe time is charged.
-func (d *Device) ReadZCSpan(sp *obs.Span, sector, nSectors int64) (data []byte, zone int, seq uint64, fut *vclock.Future, err error) {
-	d.mu.Lock()
-	data, zone, seq, pio, err := d.readZCApplyLocked(sp, sector, nSectors)
-	epoch := d.epoch
-	d.mu.Unlock()
-	if err != nil {
-		return nil, 0, 0, d.failSpan(sp, err), err
-	}
-	fut = d.clk.NewFuture()
-	d.schedule(sp, fut, pio.at, epoch, pio.err, nil)
-	return data, zone, seq, fut, nil
-}
-
-// readZCApplyLocked is the submit half of ReadZCSpan; see readApplyLocked
-// for the copying twin. Caller holds d.mu.
+// readZCApplyLocked applies a zero-copy read (CmdReadZC) of
+// [sector, sector+nSectors): simulated cost (read-pipe occupancy,
+// latency) is identical to Read, but the returned data aliases device
+// memory instead of being copied. The view is pinned by (zone, seq): it
+// reflects zone content only while ZCValid(zone, seq) holds. Latent
+// media errors are delivered through the completion exactly as for Read.
+// When the range cannot be served zero-copy the error is
+// ErrZCUnavailable and no pipe time is charged. See readApplyLocked for
+// the copying twin. Caller holds d.mu.
 func (d *Device) readZCApplyLocked(sp *obs.Span, sector, nSectors int64) (data []byte, zone int, seq uint64, pio pendingIO, err error) {
 	if d.failed {
 		return nil, 0, 0, pendingIO{}, ErrDeviceFailed
