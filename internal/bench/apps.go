@@ -259,6 +259,9 @@ func runOLTP(w io.Writer, quick bool) error {
 				if err != nil {
 					return err
 				}
+				if res[i].Errors > 0 {
+					return fmt.Errorf("%s %s %d threads: %d failed transactions, first: %v", stack, wl, th, res[i].Errors, res[i].FirstErr)
+				}
 			}
 			ratio := 0.0
 			if res[0].TPS > 0 {

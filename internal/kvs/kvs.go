@@ -25,6 +25,9 @@ var (
 	ErrClosed   = errors.New("kvs: db closed")
 )
 
+// walFactor bounds a WAL at walFactor memtables' worth of records.
+const walFactor = 4
+
 // Options tune the store. Zero values pick scaled-down defaults.
 type Options struct {
 	MemtableBytes   int64 // flush threshold
@@ -71,6 +74,7 @@ type DB struct {
 	imm      *memtable // memtable being flushed
 	wal      *lfs.File
 	walName  string
+	walBytes int64 // record bytes appended to wal
 	immWAL   string
 	levels   [][]*tableMeta // levels[0] newest-first; deeper levels key-ordered
 	nextFile uint64
@@ -134,7 +138,12 @@ func (db *DB) write(key, value []byte, tombstone bool) error {
 	rec := encodeWALRecord(key, value, tombstone, seq)
 	wal := db.wal
 	db.mem.put(string(key), value, seq, tombstone)
-	memFull := db.mem.bytes >= db.opt.MemtableBytes
+	db.walBytes += int64(len(rec))
+	// Overwrites do not grow the memtable, so the WAL is bounded too
+	// (RocksDB's max_total_wal_size): without the bound, an update-heavy
+	// key set that fits in one memtable would grow its WAL until the
+	// filesystem ran out of space.
+	memFull := db.mem.bytes >= db.opt.MemtableBytes || db.walBytes >= walFactor*db.opt.MemtableBytes
 	if memFull {
 		// Hand the memtable to the background flusher; writers stall
 		// only if the previous flush is still running.
@@ -168,6 +177,39 @@ func (db *DB) write(key, value []byte, tombstone bool) error {
 
 // Get returns the value for key.
 func (db *DB) Get(key []byte) ([]byte, error) {
+	for {
+		v, err := db.get(key)
+		if err != errRetired {
+			return v, err
+		}
+	}
+}
+
+// errRetired reports a read that lost its table to a compaction: the
+// table was retired and deleted between the snapshot and the read, and
+// its entries now live in the compaction's outputs, so the read looks
+// again.
+var errRetired = errors.New("kvs: table retired during read")
+
+// tableErr maps a table read error to errRetired when the table's file
+// is gone because a compaction retired it.
+func (db *DB) tableErr(t *tableMeta, err error) error {
+	if err != lfs.ErrNotExist {
+		return err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, lvl := range db.levels {
+		for _, u := range lvl {
+			if u == t {
+				return err
+			}
+		}
+	}
+	return errRetired
+}
+
+func (db *DB) get(key []byte) ([]byte, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
@@ -207,7 +249,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	for _, t := range tables {
 		e, ok, err := t.get(db.fs, k)
 		if err != nil {
-			return nil, err
+			return nil, db.tableErr(t, err)
 		}
 		if ok {
 			if e.tombstone {
@@ -227,6 +269,15 @@ type KV struct {
 
 // Scan returns up to limit live pairs with key >= start, in key order.
 func (db *DB) Scan(start string, limit int) ([]KV, error) {
+	for {
+		kvs, err := db.scan(start, limit)
+		if err != errRetired {
+			return kvs, err
+		}
+	}
+}
+
+func (db *DB) scan(start string, limit int) ([]KV, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
@@ -274,7 +325,7 @@ func (db *DB) Scan(start string, limit int) ([]KV, error) {
 		for _, t := range tables {
 			n, last, err := t.scan(db.fs, start, fetch, consider)
 			if err != nil {
-				return nil, err
+				return nil, db.tableErr(t, err)
 			}
 			note(n, last)
 		}
@@ -371,6 +422,7 @@ func (db *DB) rotateWALLocked() error {
 	}
 	db.wal = f
 	db.walName = name
+	db.walBytes = 0
 	return nil
 }
 

@@ -108,6 +108,39 @@ func TestOverwriteLatestWins(t *testing.T) {
 	})
 }
 
+// TestOverwritesBoundTheWAL overwrites a key set far smaller than the
+// memtable: the memtable never fills, so only the WAL bound flushes it
+// and rotates the WAL.
+func TestOverwritesBoundTheWAL(t *testing.T) {
+	runDB(t, smallOpts(), func(c *vclock.Clock, db *DB, fsys *lfs.FS) {
+		const keys, rounds = 4, 500
+		limit := walFactor*db.opt.MemtableBytes + 2<<10
+		for r := 0; r < rounds; r++ {
+			for k := 0; k < keys; k++ {
+				if err := db.Put(key(k), val(r, 1000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if size := db.wal.Size(); size > limit {
+				t.Fatalf("round %d: WAL holds %d bytes, bound %d", r, size, limit)
+			}
+		}
+		if err := db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		if db.FlushCount == 0 {
+			t.Fatal("no flush: the WAL was never rotated")
+		}
+		for k := 0; k < keys; k++ {
+			got, err := db.Get(key(k))
+			if err != nil || !bytes.Equal(got, val(rounds-1, 1000)) {
+				t.Fatalf("key %d: latest overwrite lost (%v)", k, err)
+			}
+		}
+		db.Close()
+	})
+}
+
 func TestDeleteTombstone(t *testing.T) {
 	runDB(t, smallOpts(), func(c *vclock.Clock, db *DB, fsys *lfs.FS) {
 		db.Put(key(3), val(3, 40))
@@ -368,6 +401,57 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			if !bytes.Equal(got, val(i+8000, 120)) {
 				t.Fatalf("key %d: final value mismatch", i)
 			}
+		}
+		db.Close()
+	})
+}
+
+// TestReadOfRetiredTable checks that a read whose table file is gone
+// looks again only when a compaction retired the table: a file missing
+// under a live table is an error, not a retry loop.
+func TestReadOfRetiredTable(t *testing.T) {
+	runDB(t, smallOpts(), func(c *vclock.Clock, db *DB, fsys *lfs.FS) {
+		for i := 0; i < 200; i++ {
+			if err := db.Put(key(i), val(i, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		k := string(key(0))
+		var tbl *tableMeta
+		db.mu.Lock()
+		for _, lvl := range db.levels {
+			for _, tm := range lvl {
+				if tm.minKey <= k && k <= tm.maxKey {
+					tbl = tm
+				}
+			}
+		}
+		db.mu.Unlock()
+		if tbl == nil {
+			t.Fatal("key 0 is in no table")
+		}
+		if err := fsys.Delete(tbl.name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Get(key(0)); err != lfs.ErrNotExist {
+			t.Fatalf("Get with a live table's file missing = %v, want lfs.ErrNotExist", err)
+		}
+		db.mu.Lock()
+		for l, lvl := range db.levels {
+			keep := lvl[:0]
+			for _, tm := range lvl {
+				if tm != tbl {
+					keep = append(keep, tm)
+				}
+			}
+			db.levels[l] = keep
+		}
+		db.mu.Unlock()
+		if err := db.tableErr(tbl, lfs.ErrNotExist); err != errRetired {
+			t.Errorf("tableErr for a retired table = %v, want errRetired", err)
 		}
 		db.Close()
 	})

@@ -139,7 +139,9 @@ const ckptHeader = 24 // magic(4) pad(4) gen(8) len(8)
 
 // checkpointLocked appends a checkpoint record to the current metadata
 // pack. Caller holds fs.mu; the lock is dropped around device IO with the
-// ckptBusy flag serializing checkpointers.
+// ckptBusy flag serializing checkpointers. The open runs are sealed in
+// the same lock hold that encodes the record, so every block the record
+// references is submitted before it.
 func (fs *FS) checkpointLocked() error {
 	for fs.ckptBusy {
 		fs.cond.Wait()
@@ -151,7 +153,9 @@ func (fs *FS) checkpointLocked() error {
 	}()
 
 	fs.ckptGen++
+	sealed := fs.sealAllLocked()
 	payload := fs.encodeCheckpointLocked()
+	fs.submitLocked(sealed...)
 	bs := int64(fs.block)
 	total := (ckptHeader + int64(len(payload)) + bs - 1) / bs * bs
 	blob := make([]byte, total)

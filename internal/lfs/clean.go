@@ -27,46 +27,61 @@ func (fs *FS) cleanLocked() error {
 	if victim < 0 {
 		return ErrNoSpace
 	}
-	si := &fs.segs[victim]
 
-	// Relocate the victim's live blocks. Live = the owning file's block
-	// pointer still references the lba.
+	// Relocate the victim's live blocks into the log heads' runs, reading
+	// up to a run's worth at a time. Blocks whose run has not reached the
+	// device yet are copied from memory.
 	bs := int64(fs.block)
 	start := fs.segStart(victim)
-	for b := int64(0); b < si.used; b++ {
-		lba := start + b
-		owner, ok := fs.rmap[lba]
-		if !ok || owner.idx >= int64(len(owner.file.blocks)) || owner.file.blocks[owner.idx] != lba {
-			continue
+	used := fs.segs[victim].used
+	buf := make([]byte, runBlocks*bs)
+	var moved []*run
+	for b := int64(0); b < used; {
+		var lbas []int64
+		var reads []*vclock.Future
+		for ; b < used && len(lbas) < runBlocks; b++ {
+			lba := start + b
+			if _, ok := fs.liveOwnerLocked(lba); !ok {
+				continue
+			}
+			dst := buf[int64(len(lbas))*bs:][:bs]
+			lbas = append(lbas, lba)
+			if mem := fs.unsubmittedLocked(lba); mem != nil {
+				copy(dst, mem)
+			} else {
+				reads = append(reads, fs.dev.SubmitRead(lba, dst))
+			}
 		}
-		// Copy: read old block, append to the owner's temperature log.
-		buf := make([]byte, bs)
-		rf := fs.dev.SubmitRead(lba, buf)
 		fs.mu.Unlock()
-		err := rf.Wait()
+		err := vclock.WaitAll(reads...)
 		fs.mu.Lock()
 		if err != nil {
 			return err
 		}
-		// Re-check liveness after the blocking read.
-		if owner.file.blocks[owner.idx] != lba {
-			continue
+		for i, lba := range lbas {
+			// Re-check liveness after the blocking read: the block may
+			// have been rewritten or its file deleted meanwhile.
+			owner, ok := fs.liveOwnerLocked(lba)
+			if !ok {
+				continue
+			}
+			newLBA, err := fs.allocForCleanLocked(owner.file.temp)
+			if err != nil {
+				return err
+			}
+			r := fs.appendBlockLocked(owner.file, owner.idx, newLBA, buf[int64(i)*bs:][:bs])
+			if n := len(moved); n == 0 || moved[n-1] != r {
+				moved = append(moved, r)
+			}
+			fs.CleanedBlocks++
 		}
-		newLBA, err := fs.allocForCleanLocked(owner.file.temp, victim)
-		if err != nil {
+	}
+	// The relocated blocks must be written before the checkpoint that
+	// references their new homes, so that one flush covers both.
+	for _, r := range moved {
+		if err := fs.waitRunLocked(r); err != nil {
 			return err
 		}
-		ticket := fs.takeTicketLocked()
-		fs.mu.Unlock()
-		err = fs.submitOrdered(ticket, newLBA, buf).Wait()
-		fs.mu.Lock()
-		if err != nil {
-			return err
-		}
-		fs.invalidateLocked(lba)
-		owner.file.blocks[owner.idx] = newLBA
-		fs.rmap[newLBA] = owner
-		fs.CleanedBlocks++
 	}
 
 	// Before erasing the victim, the relocated blocks and the file table
@@ -99,6 +114,16 @@ func (fs *FS) cleanLocked() error {
 	return nil
 }
 
+// liveOwnerLocked returns the owner of lba if the owning file's block
+// pointer still references it.
+func (fs *FS) liveOwnerLocked(lba int64) (blockOwner, bool) {
+	owner, ok := fs.rmap[lba]
+	if !ok || owner.idx >= int64(len(owner.file.blocks)) || owner.file.blocks[owner.idx] != lba {
+		return blockOwner{}, false
+	}
+	return owner, true
+}
+
 // resetSegment issues the zone reset for a data segment and returns its
 // completion. Caller holds fs.mu.
 func (fs *FS) resetSegment(seg int) *vclock.Future {
@@ -129,25 +154,26 @@ func (fs *FS) pickVictimLocked() int {
 // allocForCleanLocked allocates a relocation block without recursing into
 // the cleaner. It may consume the last free segment; the victim being
 // cleaned is about to replenish the pool.
-func (fs *FS) allocForCleanLocked(t Temp, victim int) (int64, error) {
-	if fs.active[t] >= 0 {
-		seg := fs.active[t]
-		si := &fs.segs[seg]
-		if si.used < fs.segSz {
-			lba := fs.segStart(seg) + si.used
-			si.used++
-			si.valid++
-			return lba, nil
+func (fs *FS) allocForCleanLocked(t Temp) (int64, error) {
+	for {
+		if fs.active[t] >= 0 {
+			seg := fs.active[t]
+			si := &fs.segs[seg]
+			if si.used < fs.segSz {
+				lba := fs.segStart(seg) + si.used
+				si.used++
+				si.valid++
+				return lba, nil
+			}
+			si.state = segFull
+			fs.active[t] = -1
 		}
-		si.state = segFull
-		fs.active[t] = -1
+		if len(fs.free) == 0 {
+			return -1, ErrNoSpace
+		}
+		seg := fs.free[len(fs.free)-1]
+		fs.free = fs.free[:len(fs.free)-1]
+		fs.segs[seg] = segInfo{state: segActive}
+		fs.active[t] = seg
 	}
-	if len(fs.free) == 0 {
-		return -1, ErrNoSpace
-	}
-	seg := fs.free[len(fs.free)-1]
-	fs.free = fs.free[:len(fs.free)-1]
-	fs.segs[seg] = segInfo{state: segActive}
-	fs.active[t] = seg
-	return fs.allocForCleanLocked(t, victim)
 }

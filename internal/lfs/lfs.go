@@ -8,7 +8,9 @@
 // Like F2FS it separates multi-head logs by data temperature (hot =
 // write-ahead logs, cold = sorted tables), performs segment cleaning when
 // free segments run low, and persists its file table with checkpoint
-// records in dedicated metadata segments.
+// records in dedicated metadata segments. Each log head gathers its
+// consecutive blocks into runs that reach the device as one write, like
+// F2FS's merged bios.
 package lfs
 
 import (
@@ -84,6 +86,9 @@ type FS struct {
 
 	rmap map[int64]blockOwner // lba -> owner, for segment cleaning
 
+	heads [numTemps]*run // open run per log head, nil none
+	unsub []*run         // open and sealed runs not yet submitted
+
 	// Write-submission ordering gate. Zoned volumes require writes to
 	// arrive in write-pointer order, but volume SubmitWrite may block
 	// (e.g. RAIZN metadata GC), so it must not run under fs.mu. Writers
@@ -125,6 +130,145 @@ func (fs *FS) submitOrdered(ticket uint64, lba int64, data []byte) *vclock.Futur
 	return fut
 }
 
+// runBlocks is the length of a full merged log write: a run is submitted
+// when its end reaches a multiple of runBlocks from its segment's start.
+// 64 blocks of 4 KiB are 256 KiB, one stripe at raizn's default
+// geometry, so a full run reaches the volume as a whole stripe and pays
+// no partial parity.
+const runBlocks = 64
+
+// run is a log head's merged write: consecutive blocks of the head's
+// active segment, buffered in memory and submitted to the device as one
+// SubmitWrite through the ordering gate. A run is open while it is its
+// head's fs.heads entry; sealing it takes its ticket, and whoever seals
+// it submits it before waiting on anything else. Until the submit has
+// happened, reads of its blocks are served from data.
+type run struct {
+	temp   Temp
+	lba    int64          // first block
+	n      int64          // blocks
+	data   []byte         // n blocks; nil once submitted
+	ticket uint64         // gate slot, taken when sealed
+	fut    *vclock.Future // completes with the device write
+}
+
+// appendBlockLocked appends blk (at most one block, zero-padded) to the
+// open run of f's log head as block idx of f, at lba, which the caller
+// has just allocated from that log without releasing fs.mu: run order,
+// and hence ticket order, is then LBA order. The block's previous
+// version is invalidated. The lock is released around submitting the
+// runs the append seals. It returns the run the block went into.
+func (fs *FS) appendBlockLocked(f *File, idx, lba int64, blk []byte) *run {
+	var sealed []*run
+	r := fs.heads[f.temp]
+	if r != nil && r.lba+r.n != lba {
+		sealed = append(sealed, fs.sealLocked(f.temp))
+		r = nil
+	}
+	off := lba - fs.segStart(int(lba/fs.segSz))
+	if r == nil {
+		// Size the buffer for the whole run: up to the next runBlocks
+		// boundary or the segment end, whichever comes first. Being
+		// fresh, it also supplies the zero padding.
+		n := min(runBlocks-off%runBlocks, fs.segSz-off)
+		r = &run{temp: f.temp, lba: lba, data: make([]byte, 0, n*int64(fs.block)), fut: fs.clk.NewFuture()}
+		fs.heads[f.temp] = r
+		fs.unsub = append(fs.unsub, r)
+	}
+	o := len(r.data)
+	r.data = r.data[:o+fs.block]
+	copy(r.data[o:], blk)
+	r.n++
+
+	for int64(len(f.blocks)) <= idx {
+		f.blocks = append(f.blocks, -1)
+	}
+	fs.invalidateLocked(f.blocks[idx])
+	f.blocks[idx] = lba
+	fs.rmap[lba] = blockOwner{file: f, idx: idx}
+	if n := len(f.pending); n > 0 && f.pending[n-1].r == r {
+		f.pending[n-1].n++
+	} else {
+		f.pending = append(f.pending, pendingRun{r: r, n: 1})
+	}
+	f.inflight++
+
+	if off++; off%runBlocks == 0 || off == fs.segSz {
+		sealed = append(sealed, fs.sealLocked(f.temp))
+	}
+	fs.submitLocked(sealed...)
+	return r
+}
+
+// sealLocked closes t's open run and takes its gate ticket. The caller
+// must submit it. Caller holds fs.mu.
+func (fs *FS) sealLocked(t Temp) *run {
+	r := fs.heads[t]
+	fs.heads[t] = nil
+	r.ticket = fs.takeTicketLocked()
+	return r
+}
+
+// sealAllLocked seals every open run, in log-head order.
+func (fs *FS) sealAllLocked() []*run {
+	var out []*run
+	for t := range fs.heads {
+		if fs.heads[t] != nil {
+			out = append(out, fs.sealLocked(Temp(t)))
+		}
+	}
+	return out
+}
+
+// submitLocked submits sealed runs (in ticket order) through the gate;
+// each run's future completes with its device write. Caller holds fs.mu;
+// it is released around the submits.
+func (fs *FS) submitLocked(runs ...*run) {
+	if len(runs) == 0 {
+		return
+	}
+	fs.mu.Unlock()
+	for _, r := range runs {
+		fs.submitOrdered(r.ticket, r.lba, r.data).Subscribe(r.fut.Complete)
+	}
+	fs.mu.Lock()
+	for _, r := range runs {
+		r.data = nil
+		for i, u := range fs.unsub {
+			if u == r {
+				fs.unsub = append(fs.unsub[:i], fs.unsub[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// waitRunLocked waits for r's device write, first submitting r if it is
+// still its head's open run. Caller holds fs.mu; it is released around
+// the wait.
+func (fs *FS) waitRunLocked(r *run) error {
+	if fs.heads[r.temp] == r {
+		fs.submitLocked(fs.sealLocked(r.temp))
+	}
+	fs.mu.Unlock()
+	err := r.fut.Wait()
+	fs.mu.Lock()
+	return err
+}
+
+// unsubmittedLocked returns the in-memory copy of block lba if its run
+// has not been submitted to the device yet, else nil. Caller holds fs.mu.
+func (fs *FS) unsubmittedLocked(lba int64) []byte {
+	bs := int64(fs.block)
+	for _, r := range fs.unsub {
+		if lba >= r.lba && lba < r.lba+r.n {
+			o := (lba - r.lba) * bs
+			return r.data[o : o+bs]
+		}
+	}
+	return nil
+}
+
 type blockOwner struct {
 	file *File
 	idx  int64 // block index within the file
@@ -148,36 +292,90 @@ const (
 // File is an append-only file with block-granular relocation (rewriting
 // the unaligned tail relocates it, as any log-structured FS must).
 //
-// Appends are pipelined like page-cache writeback: full blocks are
-// submitted to the device without waiting, and Sync is the barrier that
-// drains outstanding writes (collecting their errors) before flushing.
+// Appends are pipelined like page-cache writeback: full blocks go into
+// their log head's run without waiting, and Sync is the barrier that
+// submits and drains outstanding runs (collecting their errors) before
+// flushing.
 type File struct {
-	fs      *FS
-	name    string
-	temp    Temp
-	size    int64   // bytes
-	blocks  []int64 // lba of each full or padded block, -1 = hole
-	tail    []byte  // bytes past the last durable block boundary
-	tailAt  int64   // block index the tail belongs to
-	pending []*vclock.Future
-	wErr    error // first async write error, surfaced on the next op
+	fs     *FS
+	name   string
+	temp   Temp
+	size   int64   // bytes
+	blocks []int64 // lba of each full or padded block, -1 = hole
+	tail   []byte  // bytes past the last durable block boundary
+	tailAt int64   // block index the tail belongs to
+	wErr   error   // first async write error, surfaced on the next op
+
+	pending  []pendingRun // runs holding blocks of this file, oldest first
+	inflight int64        // blocks in pending
+
+	deleted bool // removed by Delete or replaced by Rename
+
+	busy bool         // an Append or Sync is in progress
+	cond *vclock.Cond // waiters for busy, created on first contention
 }
 
-// maxPending bounds the write pipeline per file before backpressure.
+// pendingRun is a run holding n blocks of a file.
+type pendingRun struct {
+	r *run
+	n int64
+}
+
+// maxPending bounds the blocks a file has in incomplete runs before
+// backpressure.
 const maxPending = 128
 
-// drainPendingLocked waits for all outstanding writes of the file.
-// Caller holds fs.mu; the lock is released around the waits.
+// acquireLocked serializes Append and Sync on the file: both release
+// fs.mu inside (allocation may clean, submits wait in the gate), and the
+// tail must not change under them meanwhile. Caller holds fs.mu.
+func (f *File) acquireLocked() {
+	for f.busy {
+		if f.cond == nil {
+			f.cond = f.fs.clk.NewCond(&f.fs.mu)
+		}
+		f.cond.Wait()
+	}
+	f.busy = true
+}
+
+// releaseLocked ends an acquireLocked section.
+func (f *File) releaseLocked() {
+	f.busy = false
+	if f.cond != nil {
+		f.cond.Signal()
+	}
+}
+
+// serialized runs op holding the file (acquireLocked). Caller holds
+// fs.mu.
+func (f *File) serialized(op func() error) error {
+	f.acquireLocked()
+	defer f.releaseLocked()
+	return op()
+}
+
+// noteErr records the first asynchronous write error of the file.
+func (f *File) noteErr(err error) {
+	if err != nil && f.wErr == nil {
+		f.wErr = err
+	}
+}
+
+// waitOldestLocked removes the file's oldest pending run and waits for
+// it. Caller holds fs.mu; the lock is released around the wait.
+func (f *File) waitOldestLocked() {
+	p := f.pending[0]
+	f.pending = f.pending[1:]
+	f.inflight -= p.n
+	f.noteErr(f.fs.waitRunLocked(p.r))
+}
+
+// drainPendingLocked submits and waits for all outstanding runs holding
+// the file's blocks. Caller holds fs.mu; the lock is released around the
+// waits.
 func (f *File) drainPendingLocked() error {
 	for len(f.pending) > 0 {
-		fut := f.pending[0]
-		f.pending = f.pending[1:]
-		f.fs.mu.Unlock()
-		err := fut.Wait()
-		f.fs.mu.Lock()
-		if err != nil && f.wErr == nil {
-			f.wErr = err
-		}
+		f.waitOldestLocked()
 	}
 	err := f.wErr
 	f.wErr = nil
@@ -290,6 +488,7 @@ func (fs *FS) Delete(name string) error {
 		fs.invalidateLocked(lba)
 	}
 	f.blocks = nil
+	f.deleted = true
 	delete(fs.files, name)
 	return nil
 }
@@ -308,6 +507,8 @@ func (fs *FS) Rename(old, new string) error {
 		for _, lba := range victim.blocks {
 			fs.invalidateLocked(lba)
 		}
+		victim.blocks = nil
+		victim.deleted = true
 	}
 	delete(fs.files, old)
 	f.name = new
@@ -366,8 +567,9 @@ func (fs *FS) allocBlockLocked(t Temp) (int64, error) {
 	}
 }
 
-// Append appends p to the file. Full blocks are written immediately; the
-// unaligned tail is buffered until Sync or until it fills.
+// Append appends p to the file. Full blocks go into the log head's run
+// immediately; the unaligned tail is buffered until Sync or until it
+// fills.
 func (f *File) Append(p []byte) error {
 	fs := f.fs
 	fs.mu.Lock()
@@ -375,6 +577,8 @@ func (f *File) Append(p []byte) error {
 	if fs.closed {
 		return ErrClosed
 	}
+	f.acquireLocked()
+	defer f.releaseLocked()
 	bs := int64(fs.block)
 	for len(p) > 0 {
 		n := bs - int64(len(f.tail))
@@ -385,7 +589,7 @@ func (f *File) Append(p []byte) error {
 		p = p[n:]
 		f.size += n
 		if int64(len(f.tail)) == bs {
-			if err := f.writeTailLocked(false); err != nil {
+			if err := f.writeTailLocked(); err != nil {
 				return err
 			}
 		}
@@ -393,12 +597,11 @@ func (f *File) Append(p []byte) error {
 	return nil
 }
 
-// writeTailLocked writes the tail buffer as one (possibly padded) block
-// at a fresh log location. If pad is false the tail must be exactly one
-// block. Caller holds fs.mu.
-func (f *File) writeTailLocked(pad bool) error {
+// writeTailLocked writes the tail buffer as one (zero-padded if short)
+// block at a fresh log location. Caller holds fs.mu and the file
+// (acquireLocked).
+func (f *File) writeTailLocked() error {
 	fs := f.fs
-	bs := int64(fs.block)
 	if len(f.tail) == 0 {
 		return nil
 	}
@@ -406,42 +609,16 @@ func (f *File) writeTailLocked(pad bool) error {
 	if err != nil {
 		return err
 	}
-	// Snapshot the tail: the submit happens after the ordering gate and
-	// the pipeline keeps running, so the payload must not alias the
-	// reusable tail buffer.
-	blk := append([]byte(nil), f.tail...)
-	if pad && int64(len(blk)) < bs {
-		blk = append(blk, make([]byte, bs-int64(len(blk)))...)
-	}
-	// Relocate: invalidate the previous version of this block, if any.
-	for int64(len(f.blocks)) <= f.tailAt {
-		f.blocks = append(f.blocks, -1)
-	}
-	fs.invalidateLocked(f.blocks[f.tailAt])
-	f.blocks[f.tailAt] = lba
-	fs.rmap[lba] = blockOwner{file: f, idx: f.tailAt}
-	ticket := fs.takeTicketLocked()
-
-	fs.mu.Unlock()
-	fut := fs.submitOrdered(ticket, lba, blk)
-	fs.mu.Lock()
-	f.pending = append(f.pending, fut)
-	if len(f.pending) > maxPending {
-		head := f.pending[0]
-		f.pending = f.pending[1:]
-		fs.mu.Unlock()
-		err := head.Wait()
-		fs.mu.Lock()
-		if err != nil && f.wErr == nil {
-			f.wErr = err
-		}
+	fs.appendBlockLocked(f, f.tailAt, lba, f.tail)
+	for f.inflight > maxPending {
+		f.waitOldestLocked()
 	}
 	if f.wErr != nil {
 		err := f.wErr
 		f.wErr = nil
 		return err
 	}
-	if int64(len(f.tail)) == bs {
+	if len(f.tail) == fs.block {
 		f.tail = f.tail[:0]
 		f.tailAt++
 	}
@@ -460,6 +637,10 @@ func (f *File) Size() int64 {
 func (f *File) ReadAt(p []byte, off int64) error {
 	fs := f.fs
 	fs.mu.Lock()
+	if f.deleted {
+		fs.mu.Unlock()
+		return ErrNotExist
+	}
 	if off < 0 || off+int64(len(p)) > f.size {
 		fs.mu.Unlock()
 		return fmt.Errorf("lfs: read [%d,%d) beyond EOF %d of %s", off, off+int64(len(p)), f.size, f.name)
@@ -481,10 +662,18 @@ func (f *File) ReadAt(p []byte, off int64) error {
 		if n > int64(len(out)) {
 			n = int64(len(out))
 		}
+		inTail := bi == f.tailAt && bo < int64(len(f.tail))
+		var mem []byte
+		if !inTail {
+			mem = fs.unsubmittedLocked(f.blocks[bi])
+		}
 		switch {
-		case bi == f.tailAt && bo < int64(len(f.tail)):
+		case inTail:
 			// Served from the in-memory tail.
 			copy(out[:n], f.tail[bo:bo+n])
+		case mem != nil:
+			// Its run has not reached the device yet.
+			copy(out[:n], mem[bo:bo+n])
 		case bo == 0 && n == bs:
 			// Aligned full block: read straight into the caller's buf.
 			reads = append(reads, pending{fut: fs.dev.SubmitRead(f.blocks[bi], out[:n])})
@@ -513,8 +702,9 @@ func (f *File) ReadAt(p []byte, off int64) error {
 }
 
 // Sync makes the file's current content durable: the buffered tail is
-// written (padded), the device cache flushed, and the file table
-// checkpointed so the content survives remount.
+// written (padded), the runs holding the file's blocks are submitted and
+// drained, the file table checkpointed so the content survives remount,
+// and the device cache flushed.
 func (f *File) Sync() error {
 	fs := f.fs
 	fs.mu.Lock()
@@ -522,15 +712,13 @@ func (f *File) Sync() error {
 		fs.mu.Unlock()
 		return ErrClosed
 	}
-	if err := f.writeTailLocked(true); err != nil {
-		fs.mu.Unlock()
-		return err
+	err := f.serialized(f.writeTailLocked)
+	if err == nil {
+		err = f.serialized(f.drainPendingLocked)
 	}
-	if err := f.drainPendingLocked(); err != nil {
-		fs.mu.Unlock()
-		return err
+	if err == nil {
+		err = fs.checkpointLocked()
 	}
-	err := fs.checkpointLocked()
 	fs.mu.Unlock()
 	if err != nil {
 		return err
@@ -545,28 +733,37 @@ func (fs *FS) Sync() error {
 		fs.mu.Unlock()
 		return ErrClosed
 	}
-	// Snapshot the file set: writeTailLocked releases the lock around
-	// device IO, so the map must not be ranged directly.
-	files := make([]*File, 0, len(fs.files))
-	for _, f := range fs.files {
-		files = append(files, f)
+	err := fs.syncFilesLocked()
+	if err == nil {
+		err = fs.checkpointLocked()
 	}
-	for _, f := range files {
-		if err := f.writeTailLocked(true); err != nil {
-			fs.mu.Unlock()
-			return err
-		}
-		if err := f.drainPendingLocked(); err != nil {
-			fs.mu.Unlock()
-			return err
-		}
-	}
-	err := fs.checkpointLocked()
 	fs.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return fs.dev.Flush()
+}
+
+// syncFilesLocked writes every file's tail, then drains every file, so
+// that the tails share their log heads' runs.
+func (fs *FS) syncFilesLocked() error {
+	// Snapshot the file set: the lock is released around device IO, so
+	// the map must not be ranged directly.
+	files := make([]*File, 0, len(fs.files))
+	for _, f := range fs.files {
+		files = append(files, f)
+	}
+	for _, f := range files {
+		if err := f.serialized(f.writeTailLocked); err != nil {
+			return err
+		}
+	}
+	for _, f := range files {
+		if err := f.serialized(f.drainPendingLocked); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close checkpoints and marks the filesystem unusable.

@@ -544,3 +544,32 @@ func TestCleaningRelocatesLiveBlocks(t *testing.T) {
 		}
 	})
 }
+
+// TestReadDeletedFile checks that a handle to a deleted or rename-replaced
+// file reads ErrNotExist rather than blocks that are no longer its own.
+func TestReadDeletedFile(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, c *vclock.Clock, dev Device) {
+		fs, _ := Format(c, dev)
+		a, _ := fs.Create("a", Cold)
+		b, _ := fs.Create("b", Cold)
+		for _, f := range []*File{a, b} {
+			if err := f.Append(make([]byte, 3*fs.block)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Delete("a"); err != nil {
+			t.Fatal(err)
+		}
+		c2, _ := fs.Create("c", Cold)
+		c2.Append([]byte("x"))
+		if err := fs.Rename("c", "b"); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, fs.block)
+		for name, f := range map[string]*File{"deleted": a, "replaced": b} {
+			if err := f.ReadAt(buf, 0); err != ErrNotExist {
+				t.Errorf("%s file: ReadAt = %v, want ErrNotExist", name, err)
+			}
+		}
+	})
+}

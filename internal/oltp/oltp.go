@@ -9,6 +9,7 @@ package oltp
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,15 +84,19 @@ type Result struct {
 	AvgLatency   time.Duration
 	P95Latency   time.Duration
 	Errors       int64
+	FirstErr     error // the first failed transaction's error, nil if none
 }
 
 // Run drives the workload with the given number of client threads for
-// the duration (virtual time) and returns sysbench-style metrics. It must
-// be called from a simulated goroutine.
+// the duration (virtual time) and returns sysbench-style metrics. A
+// thread stops at its first failed transaction, counted in Errors. It
+// must be called from a simulated goroutine.
 func Run(clk *vclock.Clock, db *kvs.DB, cfg Config, w Workload, threads int, duration time.Duration, seed int64) Result {
 	hist := stats.NewHistogram()
 	var counter stats.Counter
 	var errs int64
+	var errOnce sync.Once
+	var firstErr error
 
 	start := clk.Now()
 	deadline := start + duration
@@ -107,8 +112,12 @@ func Run(clk *vclock.Clock, db *kvs.DB, cfg Config, w Workload, threads int, dur
 				err := runTransaction(db, cfg, w, rng)
 				lat := clk.Now() - t0
 				if err != nil {
+					// An error ends the thread: a transaction that fails
+					// without advancing virtual time would otherwise spin
+					// here forever, never reaching the deadline.
 					atomic.AddInt64(&errs, 1)
-					continue
+					errOnce.Do(func() { firstErr = err })
+					return
 				}
 				hist.Record(lat)
 				counter.Add(1)
@@ -125,6 +134,7 @@ func Run(clk *vclock.Clock, db *kvs.DB, cfg Config, w Workload, threads int, dur
 		AvgLatency:   hist.Mean(),
 		P95Latency:   hist.Percentile(95),
 		Errors:       errs,
+		FirstErr:     firstErr,
 	}
 	return res
 }

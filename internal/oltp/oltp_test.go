@@ -95,3 +95,29 @@ func TestWorkloadNames(t *testing.T) {
 		t.Error("workload names wrong")
 	}
 }
+
+// TestRunFailsFastOnClosedDB checks that a stack whose every transaction
+// fails returns promptly with the errors counted, instead of spinning
+// without advancing virtual time.
+func TestRunFailsFastOnClosedDB(t *testing.T) {
+	c := vclock.New()
+	c.Run(func() {
+		db := newDB(t, c)
+		cfg := smallCfg()
+		if err := Prepare(db, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []Workload{ReadOnly, WriteOnly, ReadWrite} {
+			res := Run(c, db, cfg, w, 4, time.Second, 1)
+			if res.Errors == 0 {
+				t.Errorf("workload %v: Errors = 0 on a closed DB", w)
+			}
+			if res.Transactions != 0 {
+				t.Errorf("workload %v: %d transactions succeeded on a closed DB", w, res.Transactions)
+			}
+		}
+	})
+}

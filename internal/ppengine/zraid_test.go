@@ -169,7 +169,7 @@ func TestStaleSlotSuperseded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		persist(0, 1)          // slot at pos 0
+		persist(0, 1) // slot at pos 0
 		for s := int64(1); s <= 3; s++ {
 			persist(s, byte(s)) // wp=68: window [34,68], slot 0 outside
 		}
