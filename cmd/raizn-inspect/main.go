@@ -60,7 +60,7 @@ func main() {
 		switch *engine {
 		case "logged":
 		case "zraid":
-			rcfg.ParityEngine = raizn.EngineZRAID
+			rcfg.Parity = raizn.ParityZRAID
 			// Three PP slots (stride su+1) in flight per pool zone.
 			cfg.ZRWASectors = 3 * (*su + 1)
 		default:
@@ -166,8 +166,8 @@ func main() {
 		}
 
 		fmt.Printf("volume: %d logical zones, zone=%d sectors, stripe=%d sectors, su=%d sectors, engine=%v, degraded=%d\n",
-			vol.NumZones(), vol.ZoneSectors(), vol.StripeSectors(), *su, vol.ParityEngineKind(), vol.Degraded())
-		if vol.ParityEngineKind().String() == "zraid" {
+			vol.NumZones(), vol.ZoneSectors(), vol.StripeSectors(), *su, vol.Parity(), vol.Degraded())
+		if vol.Parity() == raizn.ParityZRAID {
 			st := vol.PPEngineStats()
 			fmt.Printf("parity engine: pp_volatile=%dB pp_permanent=%dB fallbacks=%d gc_runs=%d gc_migrated=%d\n",
 				st.VolatileBytes, st.PermanentBytes, st.FallbackTotal, st.GCRuns, st.GCMigrated)

@@ -46,7 +46,7 @@ func runZones(vol *raizn.Volume, devs []*zns.Device, clk *vclock.Clock, jrn *obs
 	evs := jrn.Events()
 	endT := clk.Now()
 	fmt.Printf("=== zones: journal holds %d events (%d dropped) ===\n", jrn.Len(), jrn.Dropped())
-	if vol.ParityEngineKind().String() == "zraid" {
+	if vol.Parity() == raizn.ParityZRAID {
 		st := vol.PPEngineStats()
 		fmt.Printf("parity engine: zraid  pp_volatile=%dB pp_permanent=%dB fallbacks=%d gc_runs=%d gc_migrated=%d\n",
 			st.VolatileBytes, st.PermanentBytes, st.FallbackTotal, st.GCRuns, st.GCMigrated)

@@ -33,13 +33,13 @@ func extConfig(sc scale) zns.Config {
 	return cfg
 }
 
-func newModeVolume(clk *vclock.Clock, sc scale, mode raizn.ParityMode) (*raizn.Volume, []*zns.Device) {
+func newModeVolume(clk *vclock.Clock, sc scale, mode raizn.Parity) (*raizn.Volume, []*zns.Device) {
 	devs := make([]*zns.Device, sc.numDevices)
 	for i := range devs {
 		devs[i] = zns.NewDevice(clk, extConfig(sc))
 	}
 	cfg := raizn.DefaultConfig()
-	cfg.ParityMode = mode
+	cfg.Parity = mode
 	v, err := raizn.Create(clk, devs, cfg)
 	if err != nil {
 		panic(err)
@@ -58,11 +58,11 @@ func runAblatePP(w io.Writer, quick bool) error {
 	}
 	modes := []struct {
 		name string
-		mode raizn.ParityMode
+		mode raizn.Parity
 	}{
-		{"pp-log (paper)", raizn.PPLog},
-		{"inline-meta", raizn.PPInlineMeta},
-		{"zrwa", raizn.PPZRWA},
+		{"pp-log (paper)", raizn.ParityLog},
+		{"inline-meta", raizn.ParityInlineMeta},
+		{"zrwa", raizn.ParityZRWA},
 	}
 	for _, bs := range []int64{1, 4, 16} { // 4K, 16K, 64K
 		fmt.Fprintf(w, "\n-- block size %s --\n", kib(bs))

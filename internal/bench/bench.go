@@ -278,10 +278,6 @@ func (t *table) row(cells ...string) {
 	fmt.Fprintln(t.w)
 }
 
-func (t *table) rowf(format string, args ...interface{}) {
-	fmt.Fprintf(t.w, format+"\n", args...)
-}
-
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func kib(bs int64) string { return fmt.Sprintf("%dK", bs*4) } // sectors -> KiB (4 KiB sectors)

@@ -28,14 +28,14 @@ var approvedPrefixes = []string{
 // with tenants. Light traffic materializes the lazily created series.
 func buildFullStack(t *testing.T, clk *vclock.Clock, reg *obs.Registry) {
 	t.Helper()
-	newArray := func(label string, engine raizn.ParityEngine) *raizn.Volume {
+	newArray := func(label string, engine raizn.Parity) *raizn.Volume {
 		cfg := zns.DefaultConfig()
 		cfg.NumZones = 8
 		cfg.ZoneSize = 160
 		cfg.ZoneCap = 128
 		cfg.MaxOpenZones = 8
 		cfg.MaxActiveZones = 10
-		if engine == raizn.EngineZRAID {
+		if engine == raizn.ParityZRAID {
 			cfg.ZRWASectors = 34 // two PP slots (su=16 -> stride 17)
 		}
 		devs := make([]*zns.Device, 5)
@@ -47,15 +47,15 @@ func buildFullStack(t *testing.T, clk *vclock.Clock, reg *obs.Registry) {
 		rcfg := raizn.DefaultConfig()
 		rcfg.Metrics = reg
 		rcfg.MetricsLabel = label
-		rcfg.ParityEngine = engine
+		rcfg.Parity = engine
 		v, err := raizn.Create(clk, devs, rcfg)
 		if err != nil {
 			t.Fatalf("Create(%s): %v", label, err)
 		}
 		return v
 	}
-	v0 := newArray("a0", raizn.EngineLogged)
-	v1 := newArray("a1", raizn.EngineZRAID)
+	v0 := newArray("a0", raizn.ParityLog)
+	v1 := newArray("a1", raizn.ParityZRAID)
 
 	// Direct traffic lands in v0's last zone so the volmgr volume below
 	// can own the early zones without colliding write pointers.

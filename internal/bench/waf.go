@@ -40,11 +40,11 @@ func runWAF(w io.Writer, quick bool) error {
 	}
 	var results []cellResult
 
-	run := func(workload string, engine raizn.ParityEngine) cellResult {
+	run := func(workload string, engine raizn.Parity) cellResult {
 		clk := vclock.New()
 		var res cellResult
 		res.workload = workload
-		res.engine = engineName(engine)
+		res.engine = engine.String()
 		clk.Run(func() {
 			v, devs, err := newWafVolume(clk, sc, engine)
 			if err != nil {
@@ -73,8 +73,8 @@ func runWAF(w io.Writer, quick bool) error {
 	}
 
 	for _, workload := range []string{"fillseq", "varmail"} {
-		for _, engine := range []raizn.ParityEngine{raizn.EngineLogged, raizn.EngineZRAID} {
-			fmt.Fprintf(w, "running %s/%s...\n", workload, engineName(engine))
+		for _, engine := range []raizn.Parity{raizn.ParityLog, raizn.ParityZRAID} {
+			fmt.Fprintf(w, "running %s/%s...\n", workload, engine)
 			results = append(results, run(workload, engine))
 		}
 	}
@@ -140,13 +140,6 @@ func runWAF(w io.Writer, quick bool) error {
 	return nil
 }
 
-func engineName(e raizn.ParityEngine) string {
-	if e == raizn.EngineZRAID {
-		return "zraid"
-	}
-	return "logged"
-}
-
 func waf(amplified, user int64) float64 {
 	if user == 0 {
 		return 0
@@ -172,7 +165,7 @@ func devBytes(devs []*zns.Device) devCounters {
 // window and exercise the PP-zone GC). The same device model serves the
 // logged runs — the logged engine never touches the ZRWA, so the extra
 // capability is inert there and the comparison stays apples-to-apples.
-func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.ParityEngine) (*raizn.Volume, []*zns.Device, error) {
+func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.Parity) (*raizn.Volume, []*zns.Device, error) {
 	devs := make([]*zns.Device, sc.numDevices)
 	for i := range devs {
 		cfg := znsConfig(sc, true)
@@ -182,18 +175,18 @@ func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.ParityEngine) (*raiz
 	}
 	rcfg := raizn.DefaultConfig()
 	rcfg.StripeUnitSectors = 16
-	rcfg.ParityEngine = engine
+	rcfg.Parity = engine
 	rcfg.Metrics = runRegistry
 	v, err := raizn.Create(clk, devs, rcfg)
 	return v, devs, err
 }
 
 // wafZones returns the zone count both engine configurations can serve:
-// the zraid layout gives up PPZones extra zones per device, and both
+// the zraid layout gives up its PP pool zones on every device, and both
 // engines must write the same workload for the WAF numbers to compare.
 func wafZones(sc scale) int {
 	cfg := raizn.DefaultConfig()
-	cfg.ParityEngine = raizn.EngineZRAID
+	cfg.Parity = raizn.ParityZRAID
 	return sc.znsZones - cfg.ReservedZones()
 }
 

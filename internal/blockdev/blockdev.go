@@ -584,85 +584,6 @@ func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) 
 	return fut
 }
 
-// Writev submits one write command whose payload is gathered from segs
-// (a scatter list). Like zns.Device.Writev it pays WriteOpOverhead once
-// and occupies the write pipe for a single transfer of the combined
-// length; semantics match Write of the concatenated payload.
-func (d *Device) Writev(sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	return d.WritevSpan(nil, sector, segs, flags)
-}
-
-// WritevSpan is Writev with a tracing span; the span additionally
-// records the scatter-list segment count.
-func (d *Device) WritevSpan(sp *obs.Span, sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	if len(segs) == 0 {
-		return d.failSpan(sp, ErrUnaligned)
-	}
-	if len(segs) == 1 {
-		return d.WriteSpan(sp, sector, segs[0], flags)
-	}
-	var nPages int64
-	for _, s := range segs {
-		if len(s) == 0 || len(s)%d.cfg.SectorSize != 0 {
-			return d.failSpan(sp, ErrUnaligned)
-		}
-		nPages += int64(len(s) / d.cfg.SectorSize)
-	}
-	if sector < 0 || sector+nPages > d.cfg.NumSectors {
-		return d.failSpan(sp, ErrOutOfRange)
-	}
-
-	d.mu.Lock()
-	if d.failed {
-		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
-	}
-	ss := int64(d.cfg.SectorSize)
-	var gcCost time.Duration
-	lp := sector
-	for _, seg := range segs {
-		for i := int64(0); i < int64(len(seg))/ss; i, lp = i+1, lp+1 {
-			if len(d.free) <= d.cfg.GCLowWater {
-				gcCost += d.gcLocked()
-			}
-			pp := d.programLocked(lp, &d.hostActive)
-			if d.data != nil {
-				copy(d.pageData(pp), seg[i*ss:(i+1)*ss])
-				d.applyBitRotLocked(pp)
-			}
-			if d.latentErrs[lp] {
-				delete(d.latentErrs, lp)
-			}
-			d.unflushed[lp] = struct{}{}
-		}
-	}
-	d.hostWriteBytes += nPages * ss
-
-	now := d.clk.Now()
-	occ := d.slowLocked(gcCost + d.cfg.WriteOpOverhead + d.xferTime(int(nPages*ss), d.cfg.WriteBandwidth))
-	if flags&Preflush != 0 {
-		occ += d.cfg.FlushLatency
-	}
-	sp.SetSegs(len(segs))
-	markPipe(sp, d.writeBusy, now)
-	media := reservePipe(&d.writeBusy, now, occ)
-	sp.MarkAt(obs.PhaseMedia, media)
-	done := media + d.cfg.WriteLatency
-	epoch := d.epoch
-	fua := flags&(FUA|Preflush) != 0
-	d.mu.Unlock()
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, done, epoch, nil, func() {
-		if fua {
-			for i := int64(0); i < nPages; i++ {
-				delete(d.unflushed, sector+i)
-			}
-		}
-	})
-	return fut
-}
-
 // Read fills buf starting at the absolute sector. Unwritten (trimmed)
 // sectors read as zeroes.
 func (d *Device) Read(sector int64, buf []byte) *vclock.Future {

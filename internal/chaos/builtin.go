@@ -78,7 +78,7 @@ func ZRAIDGC() *Scenario {
 	dc.ZRWASectors = 34 // two 17-sector PP slots in flight
 	vc := raizn.Config{
 		StripeUnitSectors: 16, MetadataZones: 3, StripeBuffers: 4,
-		ParityEngine: raizn.EngineZRAID, PPZones: 2,
+		Parity: raizn.ParityZRAID,
 	}
 	b := New("zraid-gc").Devices(5, dc).Volume(vc).
 		Write(0, 320). // zone 0 at stripe 5

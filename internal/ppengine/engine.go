@@ -1,52 +1,35 @@
 // Package ppengine defines the parity-persistence engine: the pluggable
 // mechanism a RAIZN volume uses to make sub-stripe ("partial") parity
-// crash-safe before a write completes (paper §5.1). Two engines exist:
+// crash-safe before a write completes (paper §5.1). raizn.Config.Parity
+// picks one of four engines:
 //
-//   - logged: the paper's design. Partial parity is appended as log
-//     records to the dedicated parity metadata zone, in one of the three
-//     ParityMode variants (header block, inline per-block metadata, or
-//     in-place ZRWA prefix updates, §5.4). Implemented inside package
-//     raizn as an adapter over its metadata manager.
-//   - zraid: the log-structured design from ZRAID (Li et al.): partial
-//     parity is written into fixed-size slots inside a small pool of
-//     dedicated PP zones through the device's Zone Random Write Area,
-//     where later updates overwrite the slot in place. Slot bytes that
-//     are superseded while still inside the ZRWA window never program to
-//     NAND (pp_volatile); only bytes the window slides past become flash
+//   - log (raizn.ParityLog, the default): the paper's design. Partial
+//     parity is appended as log records — a header sector plus the
+//     parity payload — to the dedicated parity metadata zone.
+//   - inline-meta (raizn.ParityInlineMeta, §5.4): the same log, with the
+//     record header in per-block metadata instead of a header sector.
+//   - zrwa (raizn.ParityZRWA, §5.4): no log; the stripe's parity prefix
+//     is rewritten in place at its final location through the device's
+//     Zone Random Write Area (InPlaceParityPrefix).
+//   - zraid (raizn.ParityZRAID): the log-structured design from ZRAID
+//     (Li et al.): partial parity is written into fixed-size slots inside
+//     a small pool of dedicated PP zones through the ZRWA, where later
+//     updates overwrite the slot in place. Slot bytes that are superseded
+//     while still inside the ZRWA window never program to NAND
+//     (pp_volatile); only bytes the window slides past become flash
 //     writes (pp_permanent). A PP-zone garbage collector migrates live
-//     slots and resets exhausted zones. Implemented in this package
-//     (zraid.go).
+//     slots and resets exhausted zones.
 //
-// The volume talks to whichever engine Config.ParityEngine selected
-// through the Engine interface below; the write pipeline, recovery and
-// the write-amplification accounting are engine-agnostic.
+// The first three share one adapter inside package raizn over its
+// metadata manager; zraid is implemented in this package (zraid.go).
+// The write pipeline, recovery and the write-amplification accounting
+// talk to the engine only through the Engine interface below.
 package ppengine
 
 import (
 	"raizn/internal/obs"
 	"raizn/internal/vclock"
 )
-
-// Kind identifies a parity-persistence engine implementation.
-type Kind int
-
-const (
-	// Logged is the paper's partial-parity logging design (§5.1/§5.4).
-	Logged Kind = iota
-	// ZRAID is the log-structured PP-zone design with ZRWA slot reuse.
-	ZRAID
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Logged:
-		return "logged"
-	case ZRAID:
-		return "zraid"
-	default:
-		return "unknown"
-	}
-}
 
 // Append describes one partial-parity image the volume needs persisted
 // before the triggering write may complete.
@@ -58,7 +41,6 @@ type Append struct {
 	EndLBA   int64
 	Gen      uint64 // generation of the logical zone at persist time
 	Payload  []byte // parity image bytes (at most one stripe unit)
-	Flags    int    // zns.Flag bits of the triggering write
 
 	// Span is the request's root tracing span (nil while tracing is
 	// disabled); engines attach their device sub-IOs as children.
@@ -94,15 +76,12 @@ type Stats struct {
 // be safe for concurrent use; methods are called with no volume or zone
 // locks that the engine could need held.
 type Engine interface {
-	// Kind identifies the implementation.
-	Kind() Kind
-
 	// InPlaceParityPrefix reports whether the engine maintains the
 	// partial stripe's parity prefix in place at its final parity
-	// location (the logged engine's PPZRWA variant). The write pipeline
-	// and recovery consult this instead of testing ParityMode: when
-	// true, no PP images are produced and the tail stripe's parity
-	// prefix is expected on media.
+	// location (the zrwa engine). The write pipeline and recovery
+	// consult this instead of testing the parity setting: when true, no
+	// PP images are produced and the tail stripe's parity prefix is
+	// expected on media.
 	InPlaceParityPrefix() bool
 
 	// Persist makes the partial-parity image crash-safe and returns the

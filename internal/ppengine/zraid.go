@@ -141,7 +141,6 @@ func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
 	return e, nil
 }
 
-func (e *zraidEngine) Kind() Kind                { return ZRAID }
 func (e *zraidEngine) InPlaceParityPrefix() bool { return false }
 
 func (e *zraidEngine) Stats() Stats {
@@ -288,7 +287,7 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 	if a.Span != nil {
 		child = a.Span.Child(obs.OpDevWrite, dev, pba, int64(len(buf)))
 	}
-	fut := d.WriteZRWASpan(child, pba, buf, zns.Flag(a.Flags))
+	fut := d.WriteZRWASpan(child, pba, buf, 0)
 	e.cfg.Charge(ss, e.cfg.SU*ss)
 	if e.cfg.Journal != nil && e.cfg.Journal.Enabled() {
 		e.cfg.Journal.Record(obs.EvPartialParity, dev, pz.zone, e.cfg.SU*ss, ss, 0, 0)

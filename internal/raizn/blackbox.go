@@ -80,16 +80,7 @@ func (v *Volume) ReadBlackBox() (data []byte, ok bool) {
 func RecoverBlackBox(dev *zns.Device, cfg Config) (data []byte, ok bool, err error) {
 	cfg = cfg.withDefaults()
 	dc := dev.Config()
-	ppZones := 0
-	if cfg.ParityEngine == EngineZRAID {
-		ppZones = cfg.PPZones
-	}
-	lt := &layout{
-		n: 1, d: 1, su: cfg.StripeUnitSectors,
-		physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
-		numZones: dc.NumZones - cfg.MetadataZones - ppZones,
-		mdZones:  cfg.MetadataZones, ppZones: ppZones,
-	}
+	lt := cfg.deviceLayout(dc)
 	recs, err := scanMDZones(dev, lt, dc.SectorSize)
 	if err != nil {
 		return nil, false, err

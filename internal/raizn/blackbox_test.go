@@ -104,11 +104,7 @@ func TestBlackBoxRecoveryAtPersistenceCrashHooks(t *testing.T) {
 	for cut := 0; cut < rounds; cut++ {
 		c := vclock.New()
 		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
+			v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 			var want []byte
 			for r := 0; r < rounds; r++ {
 				mustWriteV(t, v, int64(r*32), 32, 0)

@@ -88,11 +88,7 @@ func TestCrashRandomizedAlwaysReadablePrefix(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		c := vclock.New()
 		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 			rng := rand.New(rand.NewSource(seed))
 			// Random mix of write sizes, some flushed.
 			lba := int64(0)
@@ -349,14 +345,7 @@ func TestMetadataGCSurvivesChurn(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		devCfg := testDevConfig()
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, devCfg)
-		}
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, devs, _ := newParityVol(t, c, devCfg, ParityLog)
 		// Each 1-sector write produces a 2-sector pp record; the 64-
 		// sector pp zone forces GC every ~32 writes.
 		zs := v.ZoneSectors()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"raizn/internal/obs"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -158,11 +159,7 @@ func TestRebuildTimeScalesWithData(t *testing.T) {
 	measure := func(fillZones int) (elapsed int64) {
 		c := vclock.New()
 		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			v, _, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 			zs := v.ZoneSectors()
 			for z := 0; z < fillZones; z++ {
 				mustWriteV(t, v, int64(z)*zs, int(zs), 0)
@@ -283,4 +280,59 @@ func TestDegradedDataMatchesParityReconstruction(t *testing.T) {
 			t.Error("degraded read differs from normal read")
 		}
 	})
+}
+
+// TestRebuildAbortsOnFailedReplacement runs ReplaceDevice with a
+// replacement that fails before the rebuild starts and one that fails
+// after its first zone: each must return an error and leave the array
+// degraded on the same slot, still serving correct reads and writes,
+// and a following replacement with a healthy device must succeed.
+func TestRebuildAbortsOnFailedReplacement(t *testing.T) {
+	for _, when := range []string{"before", "during"} {
+		t.Run(when, func(t *testing.T) {
+			runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+				zs := v.ZoneSectors()
+				mustWriteV(t, v, 0, int(zs), 0) // full zone
+				mustWriteV(t, v, zs, 100, 0)    // open zone, partial stripe
+				const slot = 3
+				v.FailDevice(slot)
+
+				bad := zns.NewDevice(c, testDevConfig())
+				if when == "before" {
+					bad.Fail()
+				} else {
+					v.AttachHook(func(p obs.HookPoint) {
+						if p.Name == "raizn.rebuild.zone" {
+							bad.Fail()
+						}
+					})
+				}
+				if _, err := v.ReplaceDevice(bad); err == nil {
+					t.Fatal("ReplaceDevice with a failing replacement succeeded")
+				}
+				v.AttachHook(nil)
+				if got := v.Degraded(); got != slot {
+					t.Fatalf("Degraded() = %d after aborted rebuild, want %d", got, slot)
+				}
+				if v.ReadOnly() {
+					t.Fatal("aborted rebuild left the volume read-only")
+				}
+				checkReadV(t, v, 0, int(zs))
+				checkReadV(t, v, zs, 100)
+				mustWriteV(t, v, zs+100, 40, 0) // degraded write
+				checkReadV(t, v, zs, 140)
+
+				if _, err := v.ReplaceDevice(zns.NewDevice(c, testDevConfig())); err != nil {
+					t.Fatalf("ReplaceDevice with a healthy device: %v", err)
+				}
+				if got := v.Degraded(); got != -1 {
+					t.Fatalf("still degraded after rebuild: %d", got)
+				}
+				// Redundancy is back: lose another device and read again.
+				v.FailDevice(0)
+				checkReadV(t, v, 0, int(zs))
+				checkReadV(t, v, zs, 140)
+			})
+		})
+	}
 }

@@ -9,32 +9,37 @@ import (
 	"raizn/internal/zns"
 )
 
-// loggedEngine adapts the paper's partial-parity logging (§5.1 and the
-// §5.4 ParityMode variants) to the ppengine.Engine interface. It is a
-// thin shim over the volume's metadata managers: Persist appends a
-// recPartialParity record to the parity metadata zone of the target
-// device, exactly as the pre-engine write path did. Stripe lifecycle
+// loggedEngine adapts the paper's partial-parity logging (§5.1) and its
+// two §5.4 variants (ParityLog, ParityInlineMeta, ParityZRWA) to the
+// ppengine.Engine interface. It is a thin shim over the volume's
+// metadata managers: Persist appends a recPartialParity record to the
+// parity metadata zone of the target device. Stripe lifecycle
 // notifications are no-ops — logged records are reclaimed wholesale by
 // the metadata garbage collector, and recovery filters stale ones by
 // generation and stripe state.
 type loggedEngine struct {
-	v *Volume
+	v          *Volume
+	inlineMeta bool // ParityInlineMeta: record header in per-block metadata
+	inPlace    bool // ParityZRWA: parity prefix updated in place, no PP images
 }
 
-func (le *loggedEngine) Kind() ppengine.Kind { return ppengine.Logged }
+func (le *loggedEngine) InPlaceParityPrefix() bool { return le.inPlace }
 
-func (le *loggedEngine) InPlaceParityPrefix() bool {
-	return le.v.cfg.ParityMode == PPZRWA
-}
-
-// Persist appends the image as a §5.1 log record. A failed parity
-// device persists nothing (the data units carry the write, §4.2), which
-// is success for the caller — there is nothing to fall back to.
+// Persist appends the image as a §5.1 log record.
 func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, bool) {
-	v := le.v
+	return le.v.logPartialParity(a, le.inlineMeta), true
+}
+
+// logPartialParity appends a partial-parity image as a §5.1 log record
+// to the parity metadata zone of device a.Dev: the logged engine's
+// Persist, and the zraid engine's backpressure fallback. inlineMeta puts
+// the header in per-block metadata (§5.4). A failed parity device
+// persists nothing (the data units carry the write, §4.2), so the
+// result is nil — there is nothing to wait on.
+func (v *Volume) logPartialParity(a ppengine.Append, inlineMeta bool) *vclock.Future {
 	m := v.mdm(a.Dev)
 	if m == nil {
-		return nil, true // device failed: degraded
+		return nil // device failed: degraded
 	}
 	rec := &record{
 		typ:      recPartialParity,
@@ -44,22 +49,16 @@ func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, bool) {
 		payload:  a.Payload,
 	}
 	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(a.Payload)))
-	var fut *vclock.Future
-	var err error
-	if v.cfg.ParityMode == PPInlineMeta {
-		fut, _, err = m.appendMetaSpan(child, rec, zns.Flag(a.Flags))
-	} else {
-		fut, _, err = m.appendSpan(child, rec, zns.Flag(a.Flags))
-	}
+	fut, _, err := m.appendRecord(child, rec, 0, inlineMeta)
 	if err != nil {
 		child.End(err)
 		if errors.Is(err, zns.ErrDeviceFailed) {
 			v.noteDeviceError(a.Dev, err)
-			return nil, true
+			return nil
 		}
-		return v.clk.Completed(err), true
+		return v.clk.Completed(err)
 	}
-	return fut, true
+	return fut
 }
 
 func (le *loggedEngine) StripeClosed(zone int, stripe int64) {}

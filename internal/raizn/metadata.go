@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"raizn/internal/obs"
@@ -94,6 +95,8 @@ type record struct {
 
 // payloadSectors returns how many external payload sectors follow the
 // header sector for this record type, derived from the header fields.
+// A hostile or garbage header can make the result negative; callers
+// treat that as "not a record".
 func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 	switch r.typ.base() {
 	case recPartialParity:
@@ -108,7 +111,11 @@ func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 		return r.endLBA - r.startLBA
 	case recFlightBox:
 		// startLBA is the box byte length, carried as payload sectors.
-		return (r.startLBA + int64(sectorSize) - 1) / int64(sectorSize)
+		if r.startLBA < 0 {
+			return -1
+		}
+		ss := int64(sectorSize)
+		return r.startLBA/ss + min(r.startLBA%ss, 1)
 	default:
 		return 0
 	}
@@ -220,12 +227,25 @@ func (m *mdManager) append(r *record, flags zns.Flag) (*vclock.Future, int64, er
 // appendSpan is append with a tracing span; the device marks the span's
 // queue and media phases and ends it when the append completes.
 func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
+	return m.appendRecord(sp, r, flags, false)
+}
+
+// appendRecord is appendSpan with the record's header placement chosen:
+// inlineMeta puts the header in the per-block metadata of the first
+// payload sector (ParityInlineMeta, §5.4) instead of a header sector.
+func (m *mdManager) appendRecord(sp *obs.Span, r *record, flags zns.Flag, inlineMeta bool) (*vclock.Future, int64, error) {
 	dev := m.vol.devs[m.dev]
 	if dev == nil {
 		sp.End(zns.ErrDeviceFailed)
 		return nil, -1, zns.ErrDeviceFailed
 	}
-	buf := r.encode(m.vol.sectorSize)
+	var buf, meta []byte
+	hdr := int64(1) // header sectors
+	if inlineMeta {
+		buf, meta, hdr = r.encodePayloadOnly(m.vol.sectorSize), r.encodeHeaderMeta(), 0
+	} else {
+		buf = r.encode(m.vol.sectorSize)
+	}
 	need := int64(len(buf) / m.vol.sectorSize)
 	kind := kindOf(r.typ)
 
@@ -238,11 +258,17 @@ func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock
 		zd := dev.Zone(z)
 		remaining := dev.Config().ZoneCap - (zd.WP - dev.ZoneStart(z))
 		if remaining >= need && zd.State != zns.ZoneFull {
-			pba, fut := dev.AppendSpan(sp, z, buf, flags)
+			var pba int64
+			var fut *vclock.Future
+			if inlineMeta {
+				pba, fut = dev.AppendMetaSpan(sp, z, buf, meta, flags)
+			} else {
+				pba, fut = dev.AppendSpan(sp, z, buf, flags)
+			}
 			if pba >= 0 {
 				m.mu.Unlock()
-				m.vol.accountMDBytes(r.typ, 1, need-1)
-				m.vol.recordMDEvent(m.dev, z, r.typ, 1, need-1)
+				m.vol.accountMDBytes(r.typ, hdr, need-hdr)
+				m.vol.recordMDEvent(m.dev, z, r.typ, hdr, need-hdr)
 				name := "raizn.md.append"
 				if r.typ.base() == recPartialParity {
 					name = "raizn.pp.write"
@@ -336,7 +362,10 @@ func (m *mdManager) gc(kind mdKind) error {
 
 // scan reads every record from all metadata zones of the device,
 // tolerating torn tails (records cut off by the zone write pointer are
-// dropped).
+// dropped). A header whose payload length is negative (or zero for an
+// inline-meta record, which is all payload) is not a record, so the
+// scan always moves forward; lengths are compared against the sectors
+// left before the write pointer, which cannot overflow.
 func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) {
 	var out []record
 	for i := 0; i < lt.mdZones; i++ {
@@ -346,13 +375,13 @@ func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) 
 		wp := zd.WP
 		sector := make([]byte, sectorSize)
 		for pba := start; pba < wp; {
-			// Inline-meta records (PPInlineMeta, §5.4) carry their header
+			// Inline-meta records (ParityInlineMeta, §5.4) carry their header
 			// in the per-block metadata of their first payload sector.
 			if dev.Config().MetaBytes >= headerBytes {
 				if mb, _ := dev.ReadBlockMeta(pba); mb != nil {
 					if r, ok := decodeHeader(mb); ok {
 						np := r.payloadSectors(lt, sectorSize)
-						if pba+np > wp {
+						if np > wp-pba {
 							break // torn record
 						}
 						if np > 0 {
@@ -360,11 +389,11 @@ func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) 
 							if err := dev.Read(pba, r.payload).Wait(); err != nil {
 								return nil, fmt.Errorf("raizn: metadata payload read: %w", err)
 							}
+							r.pba = pba
+							out = append(out, r)
+							pba += np
+							continue
 						}
-						r.pba = pba
-						out = append(out, r)
-						pba += np
-						continue
 					}
 				}
 			}
@@ -372,7 +401,8 @@ func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) 
 				return nil, fmt.Errorf("raizn: metadata scan zone %d: %w", z, err)
 			}
 			r, ok := decodeHeader(sector)
-			if !ok {
+			np := r.payloadSectors(lt, sectorSize)
+			if !ok || np < 0 {
 				// Not a record header: skip one sector. (Occurs only
 				// if a torn multi-sector record left payload sectors
 				// behind a dropped header, which prefix persistence
@@ -380,8 +410,7 @@ func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) 
 				pba++
 				continue
 			}
-			np := r.payloadSectors(lt, sectorSize)
-			if pba+1+np > wp {
+			if np > wp-pba-1 {
 				// Torn record: header persisted but payload lost.
 				break
 			}
@@ -415,11 +444,20 @@ func encodeGenBlock(blockIdx int, gens []uint64) []byte {
 	return buf
 }
 
+// maxGenBlocks bounds a decoded block index: superblocks count zones in
+// a uint32, so a block whose first zone lies past that is garbage (and
+// blockIdx*gensPerBlock could overflow in recovery).
+const maxGenBlocks = math.MaxUint32/gensPerBlock + 1
+
 func decodeGenBlock(inline []byte) (blockIdx int, gens []uint64, ok bool) {
 	if len(inline) < 8 {
 		return 0, nil, false
 	}
-	blockIdx = int(binary.LittleEndian.Uint64(inline[0:8]))
+	idx := binary.LittleEndian.Uint64(inline[0:8])
+	if idx >= maxGenBlocks {
+		return 0, nil, false
+	}
+	blockIdx = int(idx)
 	n := (len(inline) - 8) / 8
 	gens = make([]uint64, n)
 	for i := 0; i < n; i++ {

@@ -3,23 +3,20 @@ package raizn
 import (
 	"encoding/binary"
 
-	"raizn/internal/obs"
 	"raizn/internal/parity"
-	"raizn/internal/vclock"
-	"raizn/internal/zns"
 )
 
 // This file implements the two §5.4 alternatives to partial-parity
-// logging, selected by Config.ParityMode:
+// logging, selected by Config.Parity:
 //
-//   - PPInlineMeta: the 32-byte record header rides in per-block logical
-//     metadata instead of occupying a 4 KiB header sector, shrinking
-//     every partial-parity log by one sector ("the actual header
-//     information could be written into the metadata descriptor instead,
-//     reducing write amplification and increasing the performance of
-//     small writes").
-//   - PPZRWA: partial parity is written (and re-written) in place at its
-//     final location through the device's Zone Random Write Area,
+//   - ParityInlineMeta: the 32-byte record header rides in per-block
+//     logical metadata instead of occupying a 4 KiB header sector,
+//     shrinking every partial-parity log by one sector ("the actual
+//     header information could be written into the metadata descriptor
+//     instead, reducing write amplification and increasing the
+//     performance of small writes").
+//   - ParityZRWA: partial parity is written (and re-written) in place at
+//     its final location through the device's Zone Random Write Area,
 //     eliminating parity logs and their metadata-zone churn ("ZRWA …
 //     could potentially be used to allow some parity updates to take
 //     place in-place and avoid the overhead of the parity logs").
@@ -46,61 +43,9 @@ func (r *record) encodePayloadOnly(sectorSize int) []byte {
 	return buf
 }
 
-// appendMeta writes a record with its header in block metadata and only
-// the payload in the data sectors. Same GC behaviour as append.
-func (m *mdManager) appendMeta(r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	return m.appendMetaSpan(nil, r, flags)
-}
-
-// appendMetaSpan is appendMeta with a tracing span.
-func (m *mdManager) appendMetaSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	dev := m.vol.devs[m.dev]
-	if dev == nil {
-		sp.End(zns.ErrDeviceFailed)
-		return nil, -1, zns.ErrDeviceFailed
-	}
-	buf := r.encodePayloadOnly(m.vol.sectorSize)
-	meta := r.encodeHeaderMeta()
-	need := int64(len(buf) / m.vol.sectorSize)
-	kind := kindOf(r.typ)
-
-	m.mu.Lock()
-	for attempt := 0; attempt < 3; attempt++ {
-		for m.gcBusy {
-			m.cond.Wait()
-		}
-		z := m.active[kind]
-		zd := dev.Zone(z)
-		remaining := dev.Config().ZoneCap - (zd.WP - dev.ZoneStart(z))
-		if remaining >= need && zd.State != zns.ZoneFull {
-			pba, fut := dev.AppendMetaSpan(sp, z, buf, meta, flags)
-			if pba >= 0 {
-				m.mu.Unlock()
-				// Header rides in per-block metadata: zero header sectors.
-				m.vol.accountMDBytes(r.typ, 0, need)
-				m.vol.recordMDEvent(m.dev, z, r.typ, 0, need)
-				name := "raizn.md.append"
-				if r.typ.base() == recPartialParity {
-					name = "raizn.pp.write"
-				}
-				m.vol.fireHook(name, m.dev, z, pba)
-				return fut, pba, nil
-			}
-		}
-		if err := m.gcSlotLocked(kind); err != nil {
-			m.mu.Unlock()
-			sp.End(err)
-			return nil, -1, err
-		}
-	}
-	m.mu.Unlock()
-	sp.End(errMDFull)
-	return nil, -1, errMDFull
-}
-
-// parityOnMedia reports, for ZRWA mode, how many parity prefix sectors of
-// stripe s are on the parity device (its physical fill past the stripe's
-// parity offset).
+// parityPrefixLen reports, for ParityZRWA, how many parity prefix
+// sectors of stripe s are on the parity device (its physical fill past
+// the stripe's parity offset).
 func (v *Volume) parityPrefixLen(z int, s int64) int64 {
 	dev := v.lt.parityDev(z, s)
 	d := v.devs[dev]

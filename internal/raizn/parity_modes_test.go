@@ -16,20 +16,19 @@ func extDevConfig() zns.Config {
 	return cfg
 }
 
-func runModeVol(t *testing.T, mode ParityMode, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
+// devConfigFor returns device geometry supporting parity setting p.
+func devConfigFor(p Parity) zns.Config {
+	if p == ParityZRAID {
+		return zraidDevConfig()
+	}
+	return extDevConfig()
+}
+
+func runModeVol(t *testing.T, mode Parity, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
 	t.Helper()
 	c := vclock.New()
 	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, extDevConfig())
-		}
-		cfg := DefaultConfig()
-		cfg.ParityMode = mode
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatalf("Create(mode=%d): %v", mode, err)
-		}
+		v, devs, _ := newParityVol(t, c, devConfigFor(mode), mode)
 		fn(c, v, devs)
 	})
 }
@@ -38,21 +37,19 @@ func TestModeValidation(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		devs := newTestDevices(c, 5) // plain devices: no ZRWA, no meta
-		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
-		if _, err := Create(c, devs, cfg); err == nil {
-			t.Error("PPZRWA on plain devices should be rejected")
-		}
-		cfg.ParityMode = PPInlineMeta
-		if _, err := Create(c, devs, cfg); err == nil {
-			t.Error("PPInlineMeta on plain devices should be rejected")
+		for _, p := range []Parity{ParityInlineMeta, ParityZRWA, ParityZRAID, ParityZRAID + 1} {
+			cfg := DefaultConfig()
+			cfg.Parity = p
+			if _, err := Create(c, devs, cfg); err == nil {
+				t.Errorf("Parity %v on plain devices should be rejected", p)
+			}
 		}
 	})
 }
 
 // exerciseMode writes, reads, crashes, remounts and fails a device under
 // the given parity mode.
-func exerciseMode(t *testing.T, mode ParityMode) {
+func exerciseMode(t *testing.T, mode Parity) {
 	runModeVol(t, mode, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		// Sub-stripe and stripe-spanning writes.
 		sizes := []int{5, 11, 16, 33, 64, 3, 60, 64, 20}
@@ -70,30 +67,26 @@ func exerciseMode(t *testing.T, mode ParityMode) {
 		checkReadV(t, v, 0, int(lba))
 
 		// Rebuild restores redundancy.
-		if _, err := v.ReplaceDevice(zns.NewDevice(c, extDevConfig())); err != nil {
+		if _, err := v.ReplaceDevice(zns.NewDevice(c, devConfigFor(mode))); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
 		checkReadV(t, v, 0, int(lba))
+
+		// Only zraid overwrites PP slots inside the ZRWA window.
+		if st := v.PPEngineStats(); (st.VolatileBytes > 0) != (mode == ParityZRAID) {
+			t.Errorf("%v: %d volatile PP bytes", mode, st.VolatileBytes)
+		}
 	})
 }
 
-func TestInlineMetaModeEndToEnd(t *testing.T) { exerciseMode(t, PPInlineMeta) }
-func TestZRWAModeEndToEnd(t *testing.T)       { exerciseMode(t, PPZRWA) }
+func TestInlineMetaModeEndToEnd(t *testing.T) { exerciseMode(t, ParityInlineMeta) }
+func TestZRWAModeEndToEnd(t *testing.T)       { exerciseMode(t, ParityZRWA) }
 
 // crashMode verifies remount after power loss per mode.
-func crashMode(t *testing.T, mode ParityMode) {
+func crashMode(t *testing.T, mode Parity) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, extDevConfig())
-		}
-		cfg := DefaultConfig()
-		cfg.ParityMode = mode
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, devs, cfg := newParityVol(t, c, devConfigFor(mode), mode)
 		mustWriteV(t, v, 0, 100, 0)
 		if err := v.Flush(); err != nil {
 			t.Fatal(err)
@@ -111,14 +104,19 @@ func crashMode(t *testing.T, mode ParityMode) {
 			t.Fatalf("flushed data lost: WP=%d", wp)
 		}
 		checkReadV(t, v2, 0, int(wp))
+		// Recovery re-checkpoints live parity into the metadata zones and
+		// formats the engine: a zraid PP pool starts empty.
+		if recs, err := v2.eng.Scan(); err != nil || len(recs) != 0 {
+			t.Errorf("engine not formatted after recovery: %d records, err %v", len(recs), err)
+		}
 		// Appends continue correctly after recovery.
 		mustWriteV(t, v2, wp, 40, 0)
 		checkReadV(t, v2, 0, int(wp)+40)
 	})
 }
 
-func TestInlineMetaModeCrash(t *testing.T) { crashMode(t, PPInlineMeta) }
-func TestZRWAModeCrash(t *testing.T)       { crashMode(t, PPZRWA) }
+func TestInlineMetaModeCrash(t *testing.T) { crashMode(t, ParityInlineMeta) }
+func TestZRWAModeCrash(t *testing.T)       { crashMode(t, ParityZRWA) }
 
 // TestZRWADegradedMountPartialStripe: ZRWA's in-place parity must cover
 // the §5.1 scenario the parity logs cover in the baseline: crash + device
@@ -126,16 +124,7 @@ func TestZRWAModeCrash(t *testing.T)       { crashMode(t, PPZRWA) }
 func TestZRWADegradedMountPartialStripe(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, extDevConfig())
-		}
-		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, devs, cfg := newParityVol(t, c, extDevConfig(), ParityZRWA)
 		mustWriteV(t, v, 0, 40, 0) // units 0,1 full; unit 2 half
 		v.Flush()
 		victim := v.lt.dataDev(0, 0, 1)
@@ -161,20 +150,11 @@ func TestZRWADegradedMountPartialStripe(t *testing.T) {
 // TestInlineMetaReducesWriteAmp measures the §5.4 claim: inline headers
 // shave one sector off every partial-parity log.
 func TestInlineMetaReducesWriteAmp(t *testing.T) {
-	measure := func(mode ParityMode) int64 {
+	measure := func(mode Parity) int64 {
 		var total int64
 		c := vclock.New()
 		c.Run(func() {
-			devs := make([]*zns.Device, 5)
-			for i := range devs {
-				devs[i] = zns.NewDevice(c, extDevConfig())
-			}
-			cfg := DefaultConfig()
-			cfg.ParityMode = mode
-			v, err := Create(c, devs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v, devs, _ := newParityVol(t, c, extDevConfig(), mode)
 			for i := int64(0); i < 48; i++ { // 48 x 4 KiB sub-stripe writes
 				mustWriteV(t, v, i, 1, 0)
 			}
@@ -185,8 +165,8 @@ func TestInlineMetaReducesWriteAmp(t *testing.T) {
 		})
 		return total
 	}
-	base := measure(PPLog)
-	inline := measure(PPInlineMeta)
+	base := measure(ParityLog)
+	inline := measure(ParityInlineMeta)
 	if inline >= base {
 		t.Errorf("inline meta did not reduce device writes: %d vs %d", inline, base)
 	}
@@ -201,7 +181,7 @@ func TestInlineMetaReducesWriteAmp(t *testing.T) {
 // TestZRWAHasNoMetadataChurn: in ZRWA mode the partial-parity metadata
 // zone stays empty.
 func TestZRWAHasNoMetadataChurn(t *testing.T) {
-	runModeVol(t, PPZRWA, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+	runModeVol(t, ParityZRWA, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		for i := int64(0); i < 48; i++ {
 			mustWriteV(t, v, i, 1, 0)
 		}
@@ -258,16 +238,7 @@ func TestDisableResetWALAblation(t *testing.T) {
 func TestZRWATornUnitRepairedFromPrefixParity(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, extDevConfig())
-		}
-		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, devs, cfg := newParityVol(t, c, extDevConfig(), ParityZRWA)
 		mustWriteV(t, v, 0, 48, 0) // units 0,1,2 full; unit 3 unwritten
 		// Crash: unit 1's device loses its stripe-0 data; everything
 		// else (including the in-place parity prefix) persists.
@@ -303,21 +274,12 @@ func TestZRWATornUnitRepairedFromPrefixParity(t *testing.T) {
 // parity mode: any prefix the volume exposes after a crash equals what
 // was written.
 func TestCrashQuickAllModes(t *testing.T) {
-	for _, mode := range []ParityMode{PPLog, PPInlineMeta, PPZRWA} {
+	for _, mode := range []Parity{ParityLog, ParityInlineMeta, ParityZRWA, ParityZRAID} {
 		mode := mode
 		for seed := int64(1); seed <= 6; seed++ {
 			c := vclock.New()
 			c.Run(func() {
-				devs := make([]*zns.Device, 5)
-				for i := range devs {
-					devs[i] = zns.NewDevice(c, extDevConfig())
-				}
-				cfg := DefaultConfig()
-				cfg.ParityMode = mode
-				v, err := Create(c, devs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				v, devs, cfg := newParityVol(t, c, devConfigFor(mode), mode)
 				rng := rand.New(rand.NewSource(seed))
 				var flushed int64
 				lba := int64(0)

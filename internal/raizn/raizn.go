@@ -65,26 +65,10 @@ type Config struct {
 	// MaxOpenZones bounds simultaneously open logical zones. Zero means
 	// the device limit minus the reserved metadata zones.
 	MaxOpenZones int
-	// ArrayID identifies the array in superblocks; zero picks a value
-	// derived from the geometry.
-	ArrayID uint64
-	// ParityMode selects how sub-stripe parity is made crash-safe. The
-	// default (PPLog) is the paper's design; the alternatives implement
-	// the §5.4 optimizations for devices that support them. ParityMode
-	// only applies to the logged engine; EngineZRAID requires PPLog (the
-	// default) and persists partial parity its own way.
-	ParityMode ParityMode
-	// ParityEngine selects the parity-persistence engine (see
-	// internal/ppengine): EngineLogged (default) appends partial parity
-	// to the metadata zones in one of the ParityMode variants;
-	// EngineZRAID writes it log-structured into a dedicated pool of PP
-	// zones through the devices' ZRWA, where superseded images never
-	// program to flash.
-	ParityEngine ParityEngine
-	// PPZones is the number of physical zones per device reserved for
-	// the zraid engine's partial-parity pool (minimum and default 2).
-	// Ignored by the logged engine.
-	PPZones int
+	// Parity selects how sub-stripe ("partial") parity is made
+	// crash-safe before a write completes. The zero value, ParityLog, is
+	// the paper's design; the others need optional device features.
+	Parity Parity
 	// DisableResetWAL skips the zone-reset write-ahead log (§5.2). ONLY
 	// for the ablation benchmarks: without the WAL, a crash between the
 	// physical resets of a logical zone is unrecoverable ambiguity.
@@ -117,57 +101,87 @@ type Config struct {
 	Journal *obs.Journal
 }
 
-// ParityMode selects the partial-parity crash-safety mechanism.
-type ParityMode int
+// Parity selects the partial-parity crash-safety mechanism. Each value
+// is one ppengine.Engine: the first three are the logged adapter in
+// engine_logged.go, ParityZRAID is the zraid engine in internal/ppengine.
+type Parity int
 
 const (
-	// PPLog writes partial parity as log records (4 KiB header + parity
-	// payload) into the dedicated metadata zone — the paper's design
-	// (§5.1), requiring no optional device features.
-	PPLog ParityMode = iota
-	// PPInlineMeta stores the record header in per-block logical
+	// ParityLog writes partial parity as log records (4 KiB header +
+	// parity payload) into the dedicated metadata zone — the paper's
+	// design (§5.1), requiring no optional device features.
+	ParityLog Parity = iota
+	// ParityInlineMeta stores the record header in per-block logical
 	// metadata (NVMe PI area) instead of a header block, shrinking every
 	// log by one sector (§5.4 "logical block metadata"). Requires
 	// devices with MetaBytes >= 32.
-	PPInlineMeta
-	// PPZRWA updates the parity unit in place at its final location
+	ParityInlineMeta
+	// ParityZRWA updates the parity unit in place at its final location
 	// through a Zone Random Write Area, eliminating parity logs entirely
 	// (§5.4 "ZRWA"). Requires devices with ZRWASectors >= the stripe
 	// unit size.
-	PPZRWA
+	ParityZRWA
+	// ParityZRAID is the ZRAID-style log-structured design: partial
+	// parity lives in fixed slots inside a pool of dedicated PP zones,
+	// overwritten in place through the ZRWA and reclaimed by a PP-zone
+	// garbage collector. Requires devices with ZRWASectors >=
+	// StripeUnitSectors+1.
+	ParityZRAID
 )
 
-// ParityEngine selects the parity-persistence engine implementation.
-type ParityEngine int
+func (p Parity) String() string {
+	switch p {
+	case ParityLog:
+		return "logged"
+	case ParityInlineMeta:
+		return "inline-meta"
+	case ParityZRWA:
+		return "zrwa"
+	case ParityZRAID:
+		return "zraid"
+	default:
+		return fmt.Sprintf("Parity(%d)", int(p))
+	}
+}
 
-const (
-	// EngineLogged is the paper's partial-parity logging (§5.1),
-	// including its §5.4 ParityMode variants.
-	EngineLogged ParityEngine = iota
-	// EngineZRAID is the ZRAID-style log-structured design: partial
-	// parity lives in fixed slots inside dedicated PP zones, overwritten
-	// in place through the ZRWA and reclaimed by a PP-zone garbage
-	// collector. Requires devices with ZRWASectors >= StripeUnitSectors+1.
-	EngineZRAID
-)
+// ppPoolZones is the size of the ParityZRAID engine's per-device PP-zone
+// pool: the head plus one zone to advance into.
+const ppPoolZones = 2
+
+// reservedZones returns how many physical zones per device the
+// configuration reserves outside the logical address space: the metadata
+// zones and, for ParityZRAID, the PP pool after them. Usable before
+// withDefaults is applied.
+func (c Config) reservedZones() (md, pp int) {
+	md = c.MetadataZones
+	if md == 0 {
+		md = 3
+	}
+	if c.Parity == ParityZRAID {
+		pp = ppPoolZones
+	}
+	return md, pp
+}
 
 // ReservedZones returns how many physical zones per device the
-// configuration reserves outside the logical address space: the metadata
-// zones plus, for the zraid engine, the partial-parity pool. Usable
-// before withDefaults is applied.
+// configuration reserves outside the logical address space.
 func (c Config) ReservedZones() int {
-	r := c.MetadataZones
-	if r == 0 {
-		r = 3
+	md, pp := c.reservedZones()
+	return md + pp
+}
+
+// deviceLayout returns the zone layout of one device of geometry dc: the
+// logical (data) zones first, then the metadata zones, then the PP pool.
+// The array shape (n, d) is left for newVolume; a per-device scan only
+// needs the zone map.
+func (c Config) deviceLayout(dc zns.Config) *layout {
+	md, pp := c.reservedZones()
+	return &layout{
+		n: 1, d: 1, su: c.StripeUnitSectors,
+		physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
+		numZones: dc.NumZones - md - pp,
+		mdZones:  md, ppZones: pp,
 	}
-	if c.ParityEngine == EngineZRAID {
-		p := c.PPZones
-		if p == 0 {
-			p = 2
-		}
-		r += p
-	}
-	return r
 }
 
 // DefaultConfig returns the paper's evaluation configuration: 64 KiB
@@ -193,9 +207,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RelocationThreshold == 0 {
 		out.RelocationThreshold = 64
-	}
-	if out.ParityEngine == EngineZRAID && out.PPZones == 0 {
-		out.PPZones = 2
 	}
 	return out
 }
@@ -289,7 +300,7 @@ type Volume struct {
 
 	maxOpen int
 
-	// eng is the parity-persistence engine (Config.ParityEngine): the
+	// eng is the parity-persistence engine (Config.Parity): the
 	// logged adapter in engine_logged.go or the zraid engine in
 	// internal/ppengine. Immutable after construction.
 	eng ppengine.Engine
@@ -479,37 +490,33 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	if dc.ZoneCap%cfg.StripeUnitSectors != 0 {
 		return nil, errors.New("raizn: zone capacity not a multiple of the stripe unit")
 	}
-	ppZones := 0
-	if cfg.ParityEngine == EngineZRAID {
-		ppZones = cfg.PPZones
-		if ppZones < 2 {
-			return nil, errors.New("raizn: the zraid engine needs at least 2 PP zones per device")
+	switch cfg.Parity {
+	case ParityLog:
+	case ParityInlineMeta:
+		if dc.MetaBytes < headerBytes {
+			return nil, errors.New("raizn: ParityInlineMeta requires devices with at least 32 bytes of per-block metadata")
 		}
-		if cfg.ParityMode != PPLog {
-			return nil, errors.New("raizn: the zraid engine replaces the parity log; ParityMode must be PPLog")
+	case ParityZRWA:
+		if dc.ZRWASectors < cfg.StripeUnitSectors {
+			return nil, errors.New("raizn: ParityZRWA requires a random write area of at least one stripe unit")
 		}
+	case ParityZRAID:
 		if dc.ZRWASectors < cfg.StripeUnitSectors+1 {
-			return nil, errors.New("raizn: the zraid engine requires a random write area of at least one PP slot (stripe unit + header)")
+			return nil, errors.New("raizn: ParityZRAID requires a random write area of at least one PP slot (stripe unit + header)")
 		}
+	default:
+		return nil, fmt.Errorf("raizn: unknown parity setting %v", cfg.Parity)
 	}
-	numZones := dc.NumZones - cfg.MetadataZones - ppZones
-	if numZones < 1 {
+	lt := cfg.deviceLayout(dc)
+	if lt.numZones < 1 {
 		return nil, errors.New("raizn: no data zones left after metadata reservation")
 	}
-	lt := &layout{
-		n:            len(devs),
-		d:            len(devs) - 1,
-		su:           cfg.StripeUnitSectors,
-		physZoneSize: dc.ZoneSize,
-		physZoneCap:  dc.ZoneCap,
-		numZones:     numZones,
-		mdZones:      cfg.MetadataZones,
-		ppZones:      ppZones,
-	}
+	lt.n, lt.d = len(devs), len(devs)-1
+	numZones := lt.numZones
 	maxOpen := cfg.MaxOpenZones
 	if maxOpen == 0 {
 		maxOpen = dc.MaxOpenZones - cfg.MetadataZones
-		if ppZones > 0 {
+		if lt.ppZones > 0 {
 			// The zraid engine keeps at most one PP zone open per device
 			// (the pool head; advancing finishes the old head).
 			maxOpen--
@@ -525,20 +532,9 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	if dc.ZoneCap < int64(maxOpen+2)*(cfg.StripeUnitSectors+1) {
 		return nil, errors.New("raizn: zone capacity too small for metadata checkpoints; increase zone capacity or reduce MaxOpenZones")
 	}
-	switch cfg.ParityMode {
-	case PPInlineMeta:
-		if dc.MetaBytes < headerBytes {
-			return nil, errors.New("raizn: PPInlineMeta requires devices with at least 32 bytes of per-block metadata")
-		}
-	case PPZRWA:
-		if dc.ZRWASectors < cfg.StripeUnitSectors {
-			return nil, errors.New("raizn: PPZRWA requires a random write area of at least one stripe unit")
-		}
-	}
-	arrayID := cfg.ArrayID
-	if arrayID == 0 {
-		arrayID = uint64(lt.n)<<32 ^ uint64(lt.su)<<16 ^ uint64(lt.numZones)
-	}
+	// The array ID tags every superblock; it is derived from the
+	// geometry so a re-mount recomputes the same value.
+	arrayID := uint64(lt.n)<<32 ^ uint64(lt.su)<<16 ^ uint64(lt.numZones)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -615,13 +611,14 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		v.zones[z] = v.newLogicalZone(z)
 	}
 	v.publishDevTableLocked()
-	if cfg.ParityEngine == EngineZRAID {
+	switch cfg.Parity {
+	case ParityZRAID:
 		eng, err := ppengine.NewZRAID(ppengine.ZRAIDConfig{
 			Clock:       clk,
 			NumDevices:  lt.n,
 			Device:      v.dev,
 			PPZone:      lt.ppZoneIndex,
-			PPZones:     ppZones,
+			PPZones:     lt.ppZones,
 			SectorSize:  dc.SectorSize,
 			SU:          lt.su,
 			ZoneCap:     dc.ZoneCap,
@@ -637,16 +634,15 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 			return nil, err
 		}
 		v.eng = eng
-	} else {
-		v.eng = &loggedEngine{v: v}
+	default:
+		v.eng = &loggedEngine{v: v, inlineMeta: cfg.Parity == ParityInlineMeta, inPlace: cfg.Parity == ParityZRWA}
 	}
 	registerEngineMetrics(reg, cfg.MetricsLabel, v.eng)
 	return v, nil
 }
 
-// ParityEngineKind reports which parity-persistence engine the volume
-// runs.
-func (v *Volume) ParityEngineKind() ppengine.Kind { return v.eng.Kind() }
+// Parity reports the volume's partial-parity setting (Config.Parity).
+func (v *Volume) Parity() Parity { return v.cfg.Parity }
 
 // PPEngineStats returns the parity-persistence engine's lifetime
 // counters (volatile/permanent byte split, fallbacks, GC activity).

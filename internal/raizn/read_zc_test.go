@@ -87,11 +87,7 @@ func TestSubmitReadZCMatchesCopyRead(t *testing.T) {
 		t.Run(ref.name, func(t *testing.T) {
 			c := vclock.New()
 			c.Run(func() {
-				devs := newTestDevices(c, 5)
-				v, err := Create(c, devs, DefaultConfig())
-				if err != nil {
-					t.Fatalf("Create: %v", err)
-				}
+				v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 				runDiffWorkload(t, c, v, true, false)
 				zs := v.ZoneSectors()
 				// Fill zones 0 and 1 to capacity so zone-crossing ranges
@@ -244,11 +240,7 @@ func TestSubmitReadZCRelocOverlay(t *testing.T) {
 		t.Run(ref.name, func(t *testing.T) {
 			c := vclock.New()
 			c.Run(func() {
-				devs := newTestDevices(c, 5)
-				v, err := Create(c, devs, DefaultConfig())
-				if err != nil {
-					t.Fatalf("Create: %v", err)
-				}
+				v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 				runDiffWorkload(t, c, v, true, false)
 
 				// The double hole in zone 1 forces recovery to truncate;
@@ -323,14 +315,7 @@ func TestSubmitReadZCDiscardDataFallsBack(t *testing.T) {
 	c.Run(func() {
 		dcfg := testDevConfig()
 		dcfg.DiscardData = true
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, dcfg)
-		}
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, _, _ := newParityVol(t, c, dcfg, ParityLog)
 		if err := v.Write(0, make([]byte, 64*v.SectorSize()), 0); err != nil {
 			t.Fatalf("Write: %v", err)
 		}

@@ -32,16 +32,7 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 			continue
 		}
 		dc := d.Config()
-		ppZones := 0
-		if cfg.ParityEngine == EngineZRAID {
-			ppZones = cfg.PPZones // metadata zones sit below the PP pool
-		}
-		lt := &layout{
-			n: 1, d: 1, su: cfg.StripeUnitSectors,
-			physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
-			numZones: dc.NumZones - cfg.MetadataZones - ppZones,
-			mdZones:  cfg.MetadataZones, ppZones: ppZones,
-		}
+		lt := cfg.deviceLayout(dc)
 		recs, err := scanMDZones(d, lt, dc.SectorSize)
 		if err != nil {
 			return nil, err
@@ -660,7 +651,7 @@ func (v *Volume) repairStripe(z int, s int64, present []int64, q int64, ppLogs [
 	if q > 0 && g < v.lt.stripeSectors() && !finished && !v.eng.InPlaceParityPrefix() {
 		// Parity persisted for an incomplete stripe: debris unless the
 		// zone was finished (FinishZone writes prefix parity) or the
-		// array updates parity prefixes in place (PPZRWA, §5.4).
+		// array updates parity prefixes in place (ParityZRWA, §5.4).
 		trunc = true
 	}
 	return g, false, trunc, nil

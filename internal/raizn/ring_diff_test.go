@@ -157,7 +157,7 @@ func TestRingVsDirectDifferentialConcurrent(t *testing.T) {
 	})
 }
 
-// TestRingVsDirectDifferentialZRWA repeats the check on PPZRWA devices:
+// TestRingVsDirectDifferentialZRWA repeats the check on ParityZRWA devices:
 // in-place parity updates go straight to the device's zone random-write
 // area, ordered against the staged SQ groups (the group is flushed
 // before every ZRWA write), so every complete stripe's parity read
@@ -171,7 +171,7 @@ func TestRingVsDirectDifferentialZRWA(t *testing.T) {
 		}
 		dt := tallyDrains(devs)
 		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
+		cfg.Parity = ParityZRWA
 		v, err := Create(c, devs, cfg)
 		if err != nil {
 			t.Fatalf("Create: %v", err)
@@ -334,11 +334,7 @@ func TestWritePathCrashAtDrain(t *testing.T) {
 	{
 		c := vclock.New()
 		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
+			v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 			var mu sync.Mutex
 			hook := func(p obs.HookPoint) {
 				if p.Name == "zns.ring.drain" {
@@ -369,11 +365,7 @@ func TestWritePathCrashAtDrain(t *testing.T) {
 	{
 		c := vclock.New()
 		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
+			v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 			prog := newSeqProgress(v)
 			drains := 0
 			hook := func(p obs.HookPoint) {

@@ -177,11 +177,7 @@ func TestScrubForegroundReadRepair(t *testing.T) {
 func TestChecksumsSurviveRemount(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 		mustWriteV(t, v, 0, 128, 0)
 		if err := v.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)

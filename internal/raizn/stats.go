@@ -12,8 +12,8 @@ import (
 type Stats struct {
 	LogicalWriteBytes int64 // host data accepted by SubmitWrite/Append
 	LogicalReadBytes  int64 // host data returned by SubmitRead
-	PartialParityLogs int64 // §5.1 log records written (PPLog/PPInlineMeta)
-	ZRWAParityWrites  int64 // §5.4 in-place parity updates (PPZRWA)
+	PartialParityLogs int64 // §5.1 log records written (ParityLog/ParityInlineMeta)
+	ZRWAParityWrites  int64 // §5.4 in-place parity updates (ParityZRWA)
 	FullParityWrites  int64 // full-stripe parity units written
 	Relocations       int64 // §5.2 relocated fragments created
 	ZoneResets        int64 // logical zone resets completed

@@ -29,16 +29,29 @@ func newTestDevices(clk *vclock.Clock, n int) []*zns.Device {
 	return devs
 }
 
+// newParityVol creates a 5-device volume with parity setting p on
+// devices of geometry dc, returning it with its devices and config.
+func newParityVol(t *testing.T, c *vclock.Clock, dc zns.Config, p Parity) (*Volume, []*zns.Device, Config) {
+	t.Helper()
+	devs := make([]*zns.Device, 5)
+	for i := range devs {
+		devs[i] = zns.NewDevice(c, dc)
+	}
+	cfg := DefaultConfig()
+	cfg.Parity = p
+	v, err := Create(c, devs, cfg)
+	if err != nil {
+		t.Fatalf("Create(%v): %v", p, err)
+	}
+	return v, devs, cfg
+}
+
 // runVol creates a 5-device volume and runs fn inside a simulation.
 func runVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
 	t.Helper()
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 		fn(c, v, devs)
 	})
 }

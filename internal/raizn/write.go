@@ -478,18 +478,7 @@ func (v *Volume) computeWrite(ws *writeState) {
 			pos += r.b - r.a
 		}
 		ws.pending = append(ws.pending, pendingMD{
-			dev: v.lt.parityDev(ws.z, t.s),
-			rec: &record{
-				typ:      recPartialParity,
-				startLBA: v.lt.stripeStart(ws.z, t.s) + t.a,
-				endLBA:   v.lt.stripeStart(ws.z, t.s) + t.b,
-				gen:      gen,
-				payload:  payload,
-			},
-			useMeta: v.cfg.ParityMode == PPInlineMeta,
-			z:       ws.z,
-			s:       t.s,
-			hasPP:   true,
+			hasPP: true,
 			pp: ppengine.Append{
 				Dev:      v.lt.parityDev(ws.z, t.s),
 				Zone:     ws.z,
@@ -727,18 +716,15 @@ type repairCtx struct {
 type pendingMD struct {
 	dev      int
 	rec      *record
-	flags    zns.Flag
 	isReloc  bool // register a relocation entry after the append
 	isParity bool // relocated parity rather than data
-	useMeta  bool // header in per-block metadata (PPInlineMeta)
 	z        int
 	s        int64
 
-	// pp routes the entry through the parity-persistence engine instead
-	// of a direct metadata append (hasPP marks it set; the struct is
-	// embedded by value to keep the hot path allocation-free). rec stays
-	// populated as the §5.1 log fallback taken when the engine reports
-	// backpressure (ok=false).
+	// pp routes a partial-parity image through the parity-persistence
+	// engine instead of a direct metadata append (hasPP marks it set; rec
+	// is nil). The struct is embedded by value to keep the hot path
+	// allocation-free.
 	hasPP bool
 	pp    ppengine.Append
 }
@@ -755,32 +741,25 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO)
 		p := &pending[i]
 		if p.hasPP {
 			// Partial parity goes through the engine. On backpressure
-			// (zraid PP-zone exhaustion) fall through to a plain §5.1 log
+			// (zraid PP-zone exhaustion) fall back to a plain §5.1 log
 			// record so the write path never blocks on PP-zone GC.
 			a := p.pp
 			a.Span = sp
-			a.Flags = int(p.flags)
-			if f, ok := v.eng.Persist(a); ok {
-				if f != nil {
-					futs = append(futs, subIO{dev: p.dev, fut: f})
-				}
-				continue
+			f, ok := v.eng.Persist(a)
+			if !ok {
+				f = v.logPartialParity(a, false)
 			}
-			p.useMeta = false
+			if f != nil {
+				futs = append(futs, subIO{dev: a.Dev, fut: f})
+			}
+			continue
 		}
 		m := tbl.md[p.dev]
 		if m == nil {
 			continue // device failed: degraded
 		}
 		child := sp.Child(obs.OpMDAppend, p.dev, p.rec.startLBA, int64(len(p.rec.payload)+len(p.rec.inline)))
-		var fut *vclock.Future
-		var pba int64
-		var err error
-		if p.useMeta {
-			fut, pba, err = m.appendMetaSpan(child, p.rec, p.flags)
-		} else {
-			fut, pba, err = m.appendSpan(child, p.rec, p.flags)
-		}
+		fut, pba, err := m.appendSpan(child, p.rec, 0)
 		if err != nil {
 			child.End(err)
 			if errors.Is(err, zns.ErrDeviceFailed) {

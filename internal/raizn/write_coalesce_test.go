@@ -406,11 +406,7 @@ func appendTails(t *testing.T, v *Volume, exp []zoneExpect, n int64) {
 func TestWritePathDifferentialCrash(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 		runDiffWorkload(t, c, v, true, false)
 		ms := modelWorkload(v, true, false)
 		crashCuts(devs)
@@ -441,11 +437,7 @@ func TestWritePathDifferentialCrash(t *testing.T) {
 func TestWritePathDifferentialDegradedAndScrub(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, _, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 		runDiffWorkload(t, c, v, true, true)
 		if err := v.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -490,7 +482,7 @@ func TestWritePathDifferentialDegradedAndScrub(t *testing.T) {
 }
 
 // TestWritePathDifferentialZRWA runs the concurrent workload on
-// PPZRWA-mode devices, where every stripe updates its parity prefix in
+// ParityZRWA-mode devices, where every stripe updates its parity prefix in
 // place through the zone random-write area; those updates must never be
 // merged into a sequential run.
 func TestWritePathDifferentialZRWA(t *testing.T) {
@@ -501,7 +493,7 @@ func TestWritePathDifferentialZRWA(t *testing.T) {
 			devs[j] = zns.NewDevice(c, extDevConfig())
 		}
 		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
+		cfg.Parity = ParityZRWA
 		tr := obs.NewTracer(c, obs.Config{})
 		tr.Enable()
 		cfg.Tracer = tr

@@ -18,11 +18,7 @@ import (
 func TestWritePathDifferentialComposedChaos(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		v, err := Create(c, devs, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
+		v, devs, _ := newParityVol(t, c, testDevConfig(), ParityLog)
 
 		// Phase 1: concurrent per-zone writers race on the devices.
 		runDiffWorkload(t, c, v, false, false)

@@ -19,35 +19,17 @@ func zraidDevConfig() zns.Config {
 
 func zraidConfig() Config {
 	cfg := DefaultConfig()
-	cfg.ParityEngine = EngineZRAID
+	cfg.Parity = ParityZRAID
 	return cfg
 }
 
-// runZraidVol runs fn on a 5-device zraid volume: 8 zones - 3 metadata
-// - 2 PP = 3 logical zones of 512 sectors.
-func runZraidVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
-	t.Helper()
-	c := vclock.New()
-	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, zraidDevConfig())
-		}
-		v, err := Create(c, devs, zraidConfig())
-		if err != nil {
-			t.Fatalf("Create(zraid): %v", err)
-		}
-		fn(c, v, devs)
-	})
-}
-
 func TestZRAIDCreateGeometry(t *testing.T) {
-	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+	runModeVol(t, ParityZRAID, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		if got := v.NumZones(); got != 3 {
 			t.Errorf("NumZones = %d, want 3 (8 phys - 3 md - 2 pp)", got)
 		}
-		if k := v.ParityEngineKind(); k != ppengine.ZRAID {
-			t.Errorf("engine kind = %v, want zraid", k)
+		if p := v.Parity(); p != ParityZRAID {
+			t.Errorf("Parity = %v, want zraid", p)
 		}
 		if got := zraidConfig().ReservedZones(); got != 5 {
 			t.Errorf("ReservedZones = %d, want 5", got)
@@ -63,97 +45,13 @@ func TestZRAIDValidation(t *testing.T) {
 		if _, err := Create(c, devs, zraidConfig()); err == nil {
 			t.Error("zraid on ZRWA-less devices should be rejected")
 		}
-		// ParityMode variants belong to the logged engine.
-		devs2 := make([]*zns.Device, 5)
-		for i := range devs2 {
-			devs2[i] = zns.NewDevice(c, zraidDevConfig())
-		}
-		cfg := zraidConfig()
-		cfg.ParityMode = PPInlineMeta
-		if _, err := Create(c, devs2, cfg); err == nil {
-			t.Error("zraid with ParityMode=PPInlineMeta should be rejected")
-		}
 	})
 }
 
-// TestZRAIDEndToEnd drives sub-stripe and spanning writes, degraded
-// reads, and a rebuild on the zraid engine.
-func TestZRAIDEndToEnd(t *testing.T) {
-	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		sizes := []int{5, 11, 16, 33, 64, 3, 60, 64, 20}
-		lba := int64(0)
-		for _, n := range sizes {
-			mustWriteV(t, v, lba, n, 0)
-			lba += int64(n)
-		}
-		checkReadV(t, v, 0, int(lba))
-
-		v.Flush()
-		victim := v.lt.dataDev(0, 0, 1)
-		v.FailDevice(victim)
-		checkReadV(t, v, 0, int(lba))
-
-		if _, err := v.ReplaceDevice(zns.NewDevice(c, zraidDevConfig())); err != nil {
-			t.Fatalf("rebuild: %v", err)
-		}
-		checkReadV(t, v, 0, int(lba))
-
-		st := v.PPEngineStats()
-		if st.VolatileBytes == 0 {
-			t.Error("no volatile PP bytes: slot overwrites never happened")
-		}
-	})
-}
-
-// TestZRAIDCrashRecovery power-cuts mid-zone and expects the flushed
-// prefix back, with appends continuing.
-func TestZRAIDCrashRecovery(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, zraidDevConfig())
-		}
-		cfg := zraidConfig()
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustWriteV(t, v, 0, 100, 0)
-		if err := v.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		mustWriteV(t, v, 100, 30, 0) // unflushed tail
-		for _, d := range devs {
-			d.PowerLoss(nil)
-		}
-		v2, err := Mount(c, devs, cfg)
-		if err != nil {
-			t.Fatalf("Mount: %v", err)
-		}
-		if k := v2.ParityEngineKind(); k != ppengine.ZRAID {
-			t.Fatalf("recovered volume engine = %v", k)
-		}
-		wp := v2.Zone(0).WP
-		if wp < 100 {
-			t.Fatalf("flushed data lost: WP=%d", wp)
-		}
-		checkReadV(t, v2, 0, int(wp))
-
-		// Recovery re-checkpoints live parity into the metadata zones and
-		// formats the engine: the PP pool starts empty.
-		recs, err := v2.eng.Scan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 0 {
-			t.Errorf("PP pool not formatted after recovery: %d records", len(recs))
-		}
-
-		mustWriteV(t, v2, wp, 40, 0)
-		checkReadV(t, v2, 0, int(wp)+40)
-	})
-}
+// TestZRAIDEndToEnd and TestZRAIDCrashRecovery run the parity-setting
+// end-to-end and crash checks (parity_modes_test.go) on the zraid engine.
+func TestZRAIDEndToEnd(t *testing.T)      { exerciseMode(t, ParityZRAID) }
+func TestZRAIDCrashRecovery(t *testing.T) { crashMode(t, ParityZRAID) }
 
 // TestZRAIDCrashAllSubmitted cuts every zone at its submitted write
 // pointer (nothing torn, nothing flushed) and expects recovery to
@@ -161,15 +59,7 @@ func TestZRAIDCrashRecovery(t *testing.T) {
 func TestZRAIDCrashAllSubmitted(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(c, zraidDevConfig())
-		}
-		cfg := zraidConfig()
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, devs, cfg := newParityVol(t, c, zraidDevConfig(), ParityZRAID)
 		mustWriteV(t, v, 0, 64, 0)
 		mustWriteV(t, v, 64, 24, 0) // partial stripe: PP slot written
 
@@ -312,7 +202,7 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 // the slots die unreusable, the head fills, and the ring advance must
 // garbage-collect while real writes are in flight.
 func TestZRAIDGCUnderConcurrentWrites(t *testing.T) {
-	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+	runModeVol(t, ParityZRAID, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		ss := v.SectorSize()
 		wg := c.NewWaitGroup()
 		wg.Add(1)
@@ -371,7 +261,7 @@ func TestZRAIDGCUnderConcurrentWrites(t *testing.T) {
 // TestZRAIDDegradedMaintain fails a device mid-workload and checks
 // writes, reads, and the engine's GC tolerate the hole.
 func TestZRAIDDegradedMaintain(t *testing.T) {
-	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+	runModeVol(t, ParityZRAID, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 100, 0)
 		v.Flush()
 		v.FailDevice(2)
@@ -385,37 +275,16 @@ func TestZRAIDDegradedMaintain(t *testing.T) {
 	})
 }
 
-// TestEngineParityModesDifferential proves the engine seam preserved
-// the logged behavior: for every ParityMode, the recovered state after a
-// power cut that keeps only flushed data holds, per zone, an exact
-// prefix of the written pattern covering at least the flushed writes.
-func TestEngineParityModesDifferential(t *testing.T) {
-	modes := []struct {
-		name string
-		mode ParityMode
-	}{
-		{"PPLog", PPLog},
-		{"PPInlineMeta", PPInlineMeta},
-		{"PPZRWA", PPZRWA},
-	}
-	for _, m := range modes {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
+// TestParityDifferential checks every Parity setting against the same
+// model: the recovered state after a power cut that keeps only flushed
+// data holds, per zone, an exact prefix of the written pattern covering
+// at least the flushed writes.
+func TestParityDifferential(t *testing.T) {
+	for _, p := range []Parity{ParityLog, ParityInlineMeta, ParityZRWA, ParityZRAID} {
+		t.Run(p.String(), func(t *testing.T) {
 			c := vclock.New()
 			c.Run(func() {
-				devs := make([]*zns.Device, 5)
-				for i := range devs {
-					devs[i] = zns.NewDevice(c, extDevConfig())
-				}
-				cfg := DefaultConfig()
-				cfg.ParityMode = m.mode
-				v, err := Create(c, devs, cfg)
-				if err != nil {
-					t.Fatalf("Create: %v", err)
-				}
-				if v.ParityEngineKind() != ppengine.Logged {
-					t.Fatal("ParityMode runs must use the logged engine")
-				}
+				v, devs, cfg := newParityVol(t, c, extDevConfig(), p)
 				prog := newSeqProgress(v)
 				runSeqDiffWorkload(t, v, prog)
 				for _, d := range devs {
@@ -425,7 +294,7 @@ func TestEngineParityModesDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Mount after cut: %v", err)
 				}
-				recoveredExpect(t, "mode-"+m.name, v2, snapshotVolume(t, v2), prog.flushed, prog.acked)
+				recoveredExpect(t, p.String(), v2, snapshotVolume(t, v2), prog.flushed, prog.acked)
 			})
 		})
 	}

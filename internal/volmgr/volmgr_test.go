@@ -1,6 +1,7 @@
 package volmgr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -658,5 +659,163 @@ func TestCheckIncidentsFreezesAttributedArray(t *testing.T) {
 		if err := v.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
+	})
+}
+
+// newDurableManager hosts n arrays a0..a(n-1) built with raizn config
+// rcfg and returns each array's devices, so a test can cut power and
+// remount them. Every device command named hookCmd records the engine
+// in-flight count of the manager's first volume at submission into the
+// returned maximum.
+func newDurableManager(t *testing.T, clk *vclock.Clock, n int, rcfg raizn.Config, hookCmd string) (*Manager, [][]*zns.Device, *int) {
+	t.Helper()
+	m := NewManager(clk, Config{})
+	devs := make([][]*zns.Device, n)
+	most := new(int)
+	for i := range devs {
+		devs[i] = make([]*zns.Device, 3)
+		for j := range devs[i] {
+			devs[i][j] = zns.NewDevice(clk, testDevConfig())
+			devs[i][j].AttachHook(func(p obs.HookPoint) {
+				if p.Name != hookCmd {
+					return
+				}
+				e := m.Volumes()[0].eng
+				e.mu.Lock()
+				*most = max(*most, e.inflight)
+				e.mu.Unlock()
+			}, j)
+		}
+		av, err := raizn.Create(clk, devs[i], rcfg)
+		if err != nil {
+			t.Fatalf("raizn.Create: %v", err)
+		}
+		if _, err := m.AddArray(fmt.Sprintf("a%d", i), av); err != nil {
+			t.Fatalf("AddArray: %v", err)
+		}
+	}
+	return m, devs, most
+}
+
+// submitRun queues count writes of n sectors from lba on and lets the
+// dispatcher issue them; the device latency keeps them in flight.
+func submitRun(t *testing.T, v *Volume, lba int64, n, count int) []*vclock.Future {
+	t.Helper()
+	var futs []*vclock.Future
+	for i := 0; i < count; i++ {
+		fut, err := v.SubmitWrite("t0", lba, pattern("t0", lba, n, v.SectorSize()), 0)
+		if err != nil {
+			t.Fatalf("SubmitWrite(%d): %v", lba, err)
+		}
+		futs = append(futs, fut)
+		lba += int64(n)
+	}
+	v.clk.Sleep(time.Microsecond)
+	if v.eng.inflight == 0 {
+		t.Fatal("no writes in flight; the test would not exercise the drain")
+	}
+	return futs
+}
+
+// TestFlushSurvivesPowerLoss writes to a volume spanning two arrays —
+// some writes acknowledged, some still in flight — then calls Flush,
+// cuts power to every device, remounts the arrays under a fresh manager
+// and reads everything back.
+func TestFlushSurvivesPowerLoss(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		rcfg := raizn.DefaultConfig()
+		m, devs, atFlush := newDurableManager(t, clk, 2, rcfg, "zns.cmd.flush")
+		spec := VolumeSpec{Zones: 2, Tenants: []TenantConfig{{ID: "t0"}}}
+		v, err := m.CreateVolume("vol", spec)
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		zs, ss := v.ZoneSectors(), v.SectorSize()
+		const n, count = 8, 6
+		var futs []*vclock.Future
+		for z := int64(0); z < 2; z++ {
+			if err := vclock.WaitAll(submitRun(t, v, z*zs, n, count)...); err != nil {
+				t.Fatalf("acked writes: %v", err)
+			}
+			futs = append(futs, submitRun(t, v, z*zs+n*count, n, count)...)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if *atFlush != 0 {
+			t.Fatalf("device flush issued with %d writes still in flight", *atFlush)
+		}
+		if err := vclock.WaitAll(futs...); err != nil {
+			t.Fatalf("in-flight writes: %v", err)
+		}
+		// Close the volume, not the manager: Manager.Close flushes.
+		v.Close()
+		for _, d := range append(devs[0], devs[1]...) {
+			d.PowerLoss(nil)
+		}
+		m2 := NewManager(clk, Config{})
+		for i, ds := range devs {
+			av, err := raizn.Mount(clk, ds, rcfg)
+			if err != nil {
+				t.Fatalf("raizn.Mount(a%d): %v", i, err)
+			}
+			m2.AddArray(fmt.Sprintf("a%d", i), av)
+		}
+		v2, err := m2.CreateVolume("vol", spec)
+		if err != nil {
+			t.Fatalf("CreateVolume after remount: %v", err)
+		}
+		for z := int64(0); z < 2; z++ {
+			buf := make([]byte, 2*n*count*ss)
+			if err := v2.Read("t0", z*zs, buf); err != nil {
+				t.Fatalf("Read zone %d after remount: %v", z, err)
+			}
+			if !bytes.Equal(buf, pattern("t0", z*zs, 2*n*count, ss)) {
+				t.Fatalf("zone %d: flushed data lost", z)
+			}
+		}
+		m2.Close()
+	})
+}
+
+// TestFinishZoneDrainsInflight issues FinishZone while writes to the
+// zone are in flight on an array allowed one open zone: FinishZone
+// must wait for them, seal the zone, and give the open-zone slot back,
+// so a write queued behind it fails with the zone-full error and a
+// write to another zone opens it.
+func TestFinishZoneDrainsInflight(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		rcfg := raizn.DefaultConfig()
+		rcfg.MaxOpenZones = 1
+		m, _, atFinish := newDurableManager(t, clk, 1, rcfg, "zns.zone.finish")
+		v, err := m.CreateVolume("vol", VolumeSpec{Zones: 2, Tenants: []TenantConfig{{ID: "t0"}}})
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		const n, count = 8, 4
+		futs := submitRun(t, v, 0, n, count)
+		if err := v.FinishZone(0); err != nil {
+			t.Fatalf("FinishZone: %v", err)
+		}
+		if *atFinish != 0 {
+			t.Fatalf("zone finished with %d writes still in flight", *atFinish)
+		}
+		for i, f := range futs {
+			if !f.Done() || f.Err() != nil {
+				t.Fatalf("write %d not complete after FinishZone (done=%v err=%v)", i, f.Done(), f.Err())
+			}
+		}
+		if st := m.Arrays()[0].Volume().Zone(0).State; st != zns.ZoneFull {
+			t.Fatalf("array zone 0 state %v after FinishZone, want full", st)
+		}
+		if err := v.Write("t0", n*count, pattern("t0", n*count, n, v.SectorSize()), 0); !errors.Is(err, raizn.ErrZoneFull) {
+			t.Fatalf("write behind FinishZone: err %v, want %v", err, raizn.ErrZoneFull)
+		}
+		if err := v.Write("t0", v.ZoneSectors(), pattern("t0", v.ZoneSectors(), n, v.SectorSize()), 0); err != nil {
+			t.Fatalf("write opening zone 1 after FinishZone: %v", err)
+		}
+		m.Close()
 	})
 }

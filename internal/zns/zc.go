@@ -79,13 +79,3 @@ func (d *Device) ZCValid(z int, seq uint64) bool {
 	defer d.mu.Unlock()
 	return !d.failed && z >= 0 && z < len(d.zones) && d.zones[z].zcSeq == seq
 }
-
-// ZCSeq returns zone z's current zc sequence.
-func (d *Device) ZCSeq(z int) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if z < 0 || z >= len(d.zones) {
-		return 0
-	}
-	return d.zones[z].zcSeq
-}
