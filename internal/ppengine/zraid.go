@@ -322,7 +322,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // decodeSlot parses and validates one slot read back from a PP zone.
 func decodeSlot(buf []byte, ss int, su int64) (rec Record, seq uint64, ok bool) {
-	if binary.LittleEndian.Uint32(buf[0:4]) != slotMagic {
+	if len(buf) < slotHdrSize || binary.LittleEndian.Uint32(buf[0:4]) != slotMagic {
 		return Record{}, 0, false
 	}
 	payLen := int64(binary.LittleEndian.Uint32(buf[12:16]))

@@ -47,32 +47,46 @@ func TestSubmitWriteAllocGuard(t *testing.T) {
 	}
 }
 
-// TestSubmitReadZCAllocGuard proves the zero-copy read path never
-// allocates data buffers: a steady-state ZC read allocates only fixed
-// plumbing (futures, pins, part headers), so allocs/op and bytes/op
-// must stay flat as the read size grows 4x. A copying read of the same
-// 256 KiB range would show up immediately in AllocedBytesPerOp.
-func TestSubmitReadZCAllocGuard(t *testing.T) {
+// Checked-in allocs/op and B/op baselines for the SubmitRead path every
+// workload uses, with tracing disabled. The caller supplies the payload
+// buffer, so only fixed plumbing (futures, the staged SQE group,
+// completion walker) may allocate. B/op is the highest value measured
+// at GOMAXPROCS 1 to 8: it is an average, and pool refills under more
+// Ps add a byte. Lower a baseline when the read path genuinely
+// improves; raise it only for a deliberate trade-off.
+var submitReadAllocBaseline = []struct {
+	name          string
+	sectors       int64
+	allocs, bytes int64
+}{
+	{"1-unit", 16, 21, 1269},
+	{"4-unit", 64, 31, 2208},
+}
+
+// TestSubmitReadAllocGuard holds the read path to its baseline and
+// proves it allocates no payload buffer: B/op grows by less than 2 KiB
+// from the 1-unit to the 4-unit read, far below the 192 KiB of extra
+// payload a copy into an internal buffer would cost.
+func TestSubmitReadAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under the race detector")
 	}
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
-	small := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, DefaultConfig(), 16) })
-	large := testing.Benchmark(func(b *testing.B) { benchSeqReadZC(b, DefaultConfig(), 64) })
-	const maxAllocs, maxBytes = 24, 2048
-	if got := large.AllocsPerOp(); got > maxAllocs {
-		t.Errorf("SubmitReadZC 4-stripe: %d allocs/op, baseline %d — ZC read plumbing regressed", got, maxAllocs)
+	var perOp [2]int64
+	for i, c := range submitReadAllocBaseline {
+		r := testing.Benchmark(func(b *testing.B) { benchSeqReadCopy(b, DefaultConfig(), c.sectors) })
+		if got := r.AllocsPerOp(); got > c.allocs {
+			t.Errorf("SubmitRead %s: %d allocs/op, baseline %d — the read path regressed", c.name, got, c.allocs)
+		}
+		if got := r.AllocedBytesPerOp(); got > c.bytes {
+			t.Errorf("SubmitRead %s: %d B/op, baseline %d — the read path regressed", c.name, got, c.bytes)
+		}
+		perOp[i] = r.AllocedBytesPerOp()
 	}
-	if got := large.AllocedBytesPerOp(); got > maxBytes {
-		t.Errorf("SubmitReadZC 4-stripe: %d B/op, baseline %d — a data buffer leaked onto the ZC path", got, maxBytes)
-	}
-	// 4x more data must not mean 4x more bytes allocated: the growth from
-	// the 1-unit to the 4-unit read is bounded by per-piece headers, far
-	// below the 192 KiB of extra payload a copying path would allocate.
-	if d := large.AllocedBytesPerOp() - small.AllocedBytesPerOp(); d > maxBytes {
-		t.Errorf("SubmitReadZC: bytes/op grew by %d from 1-unit to 4-unit read — payload is being copied", d)
+	if d := perOp[1] - perOp[0]; d >= 2048 {
+		t.Errorf("SubmitRead: B/op grew by %d from the 1-unit to the 4-unit read — payload is being allocated", d)
 	}
 }
 

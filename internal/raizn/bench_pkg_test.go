@@ -171,8 +171,7 @@ func BenchmarkDegradedRead64K(b *testing.B) {
 }
 
 // benchVolumeData is benchVolumeCfg with payloads materialized
-// (DiscardData off): zero-copy reads need real backing arrays, and the
-// copying baseline must pay the same memory traffic to compare fairly.
+// (DiscardData off), so reads pay the payload copy out of device memory.
 func benchVolumeData(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volume)) {
 	b.Helper()
 	c := vclock.New()
@@ -190,33 +189,8 @@ func benchVolumeData(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volu
 	})
 }
 
-// benchSeqReadZC measures the zero-copy read path: assemble views,
-// validate pins, release. ZeroCopy must hold on every op — a fallback
-// would silently benchmark the copying path.
-func benchSeqReadZC(b *testing.B, vcfg Config, nSectors int64) {
-	benchVolumeData(b, vcfg, func(c *vclock.Clock, v *Volume) {
-		prefill := make([]byte, v.ZoneSectors()*int64(v.SectorSize()))
-		if err := v.Write(0, prefill, 0); err != nil {
-			b.Fatal(err)
-		}
-		n := v.ZoneSectors() - nSectors
-		b.SetBytes(nSectors * int64(v.SectorSize()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := v.SubmitReadZC(int64(i)%n, nSectors)
-			if err := r.Wait(); err != nil {
-				b.Fatal(err)
-			}
-			if !r.ZeroCopy() {
-				b.Fatal("zero-copy read fell back to copying")
-			}
-			r.Release()
-		}
-	})
-}
-
-// benchSeqReadCopy is the copying counterpart on identical devices.
+// benchSeqReadCopy measures SubmitRead of nSectors into one reused
+// caller buffer, sliding across a full zone.
 func benchSeqReadCopy(b *testing.B, vcfg Config, nSectors int64) {
 	benchVolumeData(b, vcfg, func(c *vclock.Clock, v *Volume) {
 		prefill := make([]byte, v.ZoneSectors()*int64(v.SectorSize()))
@@ -237,8 +211,6 @@ func benchSeqReadCopy(b *testing.B, vcfg Config, nSectors int64) {
 }
 
 func BenchmarkSubmitReadCopy4Unit(b *testing.B) { benchSeqReadCopy(b, DefaultConfig(), 64) }
-func BenchmarkSubmitReadZC4Unit(b *testing.B)   { benchSeqReadZC(b, DefaultConfig(), 64) }
-func BenchmarkSubmitReadZC1Unit(b *testing.B)   { benchSeqReadZC(b, DefaultConfig(), 16) }
 
 // benchSeqWriteRecorder is benchSeqWrite with the full observation rig
 // attached — registry, (disabled) tracer, flight recorder as span

@@ -323,14 +323,9 @@ type Volume struct {
 	stats  statsCounters
 
 	// rings is the per-array submission/completion ring set through which
-	// every data-path device sub-IO (write runs, reads, zero-copy reads)
-	// is staged and drained. zcEpoch[z] pins zero-copy reads of logical zone z: it
-	// is bumped by anything that invalidates device payload views or the
-	// relocation overlays a zero-copy read may alias (relocation-map
-	// changes, zone reset, device-table changes); see read_zc.go.
-	rings   *ring.Set
-	zcEpoch []atomic.Uint64
-	zcPool  sync.Pool // *ZCRead
+	// every data-path device sub-IO (write runs, reads) is staged and
+	// drained.
+	rings *ring.Set
 
 	// Crash-point hook (AttachHook); fired at the write plan/compute/
 	// submit boundaries, metadata and partial-parity appends, reset and
@@ -382,27 +377,6 @@ func (v *Volume) publishDevTableLocked() {
 		t.rebuiltZones = append([]bool(nil), v.rebuiltZones...)
 	}
 	v.devTable.Store(t)
-	// Any device-slot change (degrade, rebuild progress, replacement)
-	// redirects reads, so standing zero-copy views must re-validate.
-	v.bumpZCEpoch(-1)
-}
-
-// bumpZCEpoch invalidates outstanding zero-copy read views of logical
-// zone z (z < 0: all zones). Called whenever something a zero-copy read
-// may alias or depend on changes: relocation-map mutations, zone resets,
-// and device-table swaps. Device-side payload mutations are caught
-// separately by the per-physical-zone zc sequence (zns.Device.ZCValid).
-func (v *Volume) bumpZCEpoch(z int) {
-	if v.zcEpoch == nil {
-		return // volume still under construction
-	}
-	if z >= 0 {
-		v.zcEpoch[z].Add(1)
-		return
-	}
-	for i := range v.zcEpoch {
-		v.zcEpoch[i].Add(1)
-	}
 }
 
 // loadDevs returns the current device-table snapshot.
@@ -585,7 +559,6 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		}
 	}
 	v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)
-	v.zcEpoch = make([]atomic.Uint64, numZones)
 	v.stats = newStatsCounters(reg, cfg.MetricsLabel)
 	registerWAHelp(reg)
 	reg.Help("raizn_degraded_slot", "device slot currently degraded, -1 when the array is healthy")

@@ -182,36 +182,18 @@ func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
 	lbaB := lbaA + (b - a)
 
-	type gap struct{ lo, hi int64 } // LBA ranges not covered by reloc
-	gaps := []gap{{lbaA, lbaB}}
-	{
-		v.relocMu.Lock()
-		frags := v.reloc[z]
-		for _, f := range frags {
-			if f.endLBA <= lbaA || f.startLBA >= lbaB {
-				continue
-			}
-			// Copy the overlapping part from the in-memory cache.
-			lo, hi := max(f.startLBA, lbaA), min(f.endLBA, lbaB)
-			copy(dst[(lo-lbaA)*ss:(hi-lbaA)*ss], f.data[(lo-f.startLBA)*ss:(hi-f.startLBA)*ss])
-			// Remove [lo,hi) from the gaps.
-			var ng []gap
-			for _, g := range gaps {
-				if hi <= g.lo || lo >= g.hi {
-					ng = append(ng, g)
-					continue
-				}
-				if g.lo < lo {
-					ng = append(ng, gap{g.lo, lo})
-				}
-				if hi < g.hi {
-					ng = append(ng, gap{hi, g.hi})
-				}
-			}
-			gaps = ng
+	gaps := []gap{{lbaA, lbaB}} // LBA ranges not covered by reloc
+	v.relocMu.Lock()
+	for _, f := range v.reloc[z] {
+		if f.endLBA <= lbaA || f.startLBA >= lbaB {
+			continue
 		}
-		v.relocMu.Unlock()
+		// Copy the overlapping part from the in-memory cache.
+		lo, hi := max(f.startLBA, lbaA), min(f.endLBA, lbaB)
+		copy(dst[(lo-lbaA)*ss:(hi-lbaA)*ss], f.data[(lo-f.startLBA)*ss:(hi-f.startLBA)*ss])
+		gaps = cutGap(gaps, lo, hi)
 	}
+	v.relocMu.Unlock()
 
 	dev := v.lt.dataDev(z, s, u)
 	d := v.devForZone(dev, z)
@@ -319,31 +301,15 @@ func (v *Volume) readParityPiece(z int, s int64, a, b int64, dst []byte, futs *[
 // still read from the parity device.
 func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, dst []byte, stage *readStage) error {
 	ss := int64(v.sectorSize)
-	type gap struct{ lo, hi int64 } // intra ranges not covered by reloc
-	gaps := []gap{{a, b}}
+	gaps := []gap{{a, b}} // intra ranges not covered by reloc
 	v.relocMu.Lock()
-	if m := v.parityReloc[z]; m != nil {
-		if e, ok := m[s]; ok {
-			lo := e.startLBA - v.lt.stripeStart(z, s)
-			hi := lo + int64(len(e.data))/ss
-			cl, ch := max(lo, a), min(hi, b)
-			if cl < ch {
-				copy(dst[(cl-a)*ss:(ch-a)*ss], e.data[(cl-lo)*ss:(ch-lo)*ss])
-				var ng []gap
-				for _, g := range gaps {
-					if ch <= g.lo || cl >= g.hi {
-						ng = append(ng, g)
-						continue
-					}
-					if g.lo < cl {
-						ng = append(ng, gap{g.lo, cl})
-					}
-					if ch < g.hi {
-						ng = append(ng, gap{ch, g.hi})
-					}
-				}
-				gaps = ng
-			}
+	if e, ok := v.parityReloc[z][s]; ok {
+		lo := e.startLBA - v.lt.stripeStart(z, s)
+		hi := lo + int64(len(e.data))/ss
+		cl, ch := max(lo, a), min(hi, b)
+		if cl < ch {
+			copy(dst[(cl-a)*ss:(ch-a)*ss], e.data[(cl-lo)*ss:(ch-lo)*ss])
+			gaps = cutGap(gaps, cl, ch)
 		}
 	}
 	v.relocMu.Unlock()
@@ -363,6 +329,28 @@ func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, d
 		stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
 	}
 	return nil
+}
+
+// gap is a sector range [lo, hi) a read still has to fetch from a
+// device after relocated fragments have been copied in.
+type gap struct{ lo, hi int64 }
+
+// cutGap removes [lo, hi) from gaps.
+func cutGap(gaps []gap, lo, hi int64) []gap {
+	var ng []gap
+	for _, g := range gaps {
+		if hi <= g.lo || lo >= g.hi {
+			ng = append(ng, g)
+			continue
+		}
+		if g.lo < lo {
+			ng = append(ng, gap{g.lo, lo})
+		}
+		if hi < g.hi {
+			ng = append(ng, gap{hi, g.hi})
+		}
+	}
+	return ng
 }
 
 // readStage accumulates device sub-reads for submission through the

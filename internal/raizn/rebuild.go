@@ -217,7 +217,6 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 			}
 		}
 		v.reloc[z] = keep
-		v.bumpZCEpoch(z)
 	}
 	if m := v.parityReloc[z]; m != nil {
 		for s, e := range m {

@@ -181,7 +181,6 @@ func (v *Volume) dropRelocEntries(z int) {
 	delete(v.reloc, z)
 	delete(v.parityReloc, z)
 	v.relocMu.Unlock()
-	v.bumpZCEpoch(z)
 }
 
 // FinishZone transitions logical zone z to full without writing the rest

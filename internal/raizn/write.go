@@ -969,7 +969,6 @@ func (v *Volume) addReloc(z int, e relocEntry, isParity bool, s int64) {
 		v.reloc[z] = insertReloc(v.reloc[z], e)
 	}
 	v.relocMu.Unlock()
-	v.bumpZCEpoch(z)
 	lz.mu.Unlock()
 }
 

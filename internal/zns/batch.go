@@ -23,7 +23,6 @@ const (
 	CmdWrite  CmdOp = iota // sequential write of Data at Sector
 	CmdWritev              // gathered write of Segs at Sector
 	CmdRead                // read into Data from Sector
-	CmdReadZC              // zero-copy read of NSectors at Sector (Data is output)
 	CmdAppend              // zone append of Data to Zone (Sector is output)
 	CmdFlush               // flush the volatile write cache
 	CmdReset               // reset Zone
@@ -34,28 +33,22 @@ const (
 // CmdOp constants); PrepareBatch fills the output fields:
 //
 //   - Fut: the completion future (pre-completed when Err is set).
-//   - Err: the submit-time error, if the command was rejected. A
-//     CmdReadZC that cannot be served zero-copy reports ErrZCUnavailable
-//     here; the caller falls back to a copying read.
+//   - Err: the submit-time error, if the command was rejected.
 //   - Done: the absolute virtual completion time (SQ-to-CQ latency is
 //     Done minus the submit instant).
 //   - Sector (CmdAppend): the device-assigned write position.
-//   - Data, Seq (CmdReadZC): the device-owned payload view and the zone
-//     zc-sequence that pins it (see readZCApplyLocked).
 type Cmd struct {
-	Op       CmdOp
-	Sector   int64
-	Zone     int
-	NSectors int64 // CmdReadZC only: view length
-	Data     []byte
-	Segs     [][]byte
-	Flags    Flag
-	Span     *obs.Span
+	Op     CmdOp
+	Sector int64
+	Zone   int
+	Data   []byte
+	Segs   [][]byte
+	Flags  Flag
+	Span   *obs.Span
 
 	Fut  *vclock.Future
 	Err  error
 	Done time.Duration
-	Seq  uint64
 }
 
 // Completion is one batched command's pending completion, produced by
@@ -69,9 +62,6 @@ type Completion struct {
 	epoch uint64
 	pio   pendingIO
 }
-
-// At returns the completion's absolute virtual delivery time.
-func (c *Completion) At() time.Duration { return c.pio.at }
 
 // PrepareBatch validates and applies every command in cmds under a
 // single device-lock acquisition, appends their pending completions to
@@ -164,14 +154,6 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			}
 			n := int64(len(c.Data) / ss)
 			pio, err = d.readApplyLocked(c.Span, c.Sector, n, c.Data)
-		case CmdReadZC:
-			var data []byte
-			var z int
-			var seq uint64
-			data, z, seq, pio, err = d.readZCApplyLocked(c.Span, c.Sector, c.NSectors)
-			if err == nil {
-				c.Data, c.Zone, c.Seq = data, z, seq
-			}
 		case CmdFlush:
 			pio, err = d.flushApplyLocked(c.Span)
 			hook, hookZone, hookArg = "zns.cmd.flush", -1, d.flushCount

@@ -88,9 +88,6 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 			zo.data = make([]byte, d.cfg.ZoneCap*int64(d.cfg.SectorSize))
 		}
 		copy(zo.data[off*int64(d.cfg.SectorSize):], data)
-		if off < zo.wp {
-			zo.zcSeq++ // in-place overwrite invalidates zero-copy views
-		}
 	}
 	end := off + nSectors
 	if end > zo.wp {

@@ -89,7 +89,6 @@ func (d *Device) corruptSectorLocked(zo *zone, off int64) {
 	ss := int64(d.cfg.SectorSize)
 	byteIdx := off*ss + int64(rng.Intn(d.cfg.SectorSize))
 	zo.data[byteIdx] ^= 1 << uint(rng.Intn(8))
-	zo.zcSeq++ // in-place mutation invalidates zero-copy views
 	d.injectedRot++
 }
 
@@ -152,13 +151,4 @@ func (d *Device) dropFaultsLocked(z int) {
 			delete(d.latentErrs, s)
 		}
 	}
-}
-
-// FaultCounters returns lifetime fault-injection counters: sectors
-// marked as latent read errors, sectors hit by bit-rot, and reads that
-// completed with ErrReadMedium.
-func (d *Device) FaultCounters() (latentSectors, rottedSectors, readMediumErrors int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.injectedReadErrs, d.injectedRot, d.readMediumErrs
 }

@@ -576,7 +576,6 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	zo.finished = false
 	zo.unflushed = nil
 	zo.data = nil
-	zo.zcSeq++
 	// Unprogrammed (in-ZRWA) bytes are discarded without ever reaching
 	// flash; the cumulative program counter never rolls back.
 	zo.prog = 0

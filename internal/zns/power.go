@@ -99,7 +99,6 @@ func (d *Device) applyCutLocked(z int, cut int64) {
 		for i := range tail {
 			tail[i] = 0
 		}
-		zo.zcSeq++ // in-place truncation invalidates zero-copy views
 	}
 	// A full zone's fullness is durable only if it became full on media;
 	// if the cut rolls back below capacity the zone is no longer full.

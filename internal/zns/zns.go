@@ -213,7 +213,6 @@ type zone struct {
 	finished  bool  // zone was made full by an explicit (durable) finish
 	data      []byte
 	unflushed []extent // writes in (pwp, wp], in submit order
-	zcSeq     uint64   // bumped whenever payload below wp mutates or is freed
 
 	// Flash-program accounting (see programLocked). prog is the zone-
 	// relative sector up to which data has been programmed to NAND; zrwa
